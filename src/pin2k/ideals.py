@@ -20,11 +20,18 @@ integers summarize the w-line:
   e  generates {w_multiplier(x) : x in I}  (the gcd over any generating set,
      since w_multiplier is multiplicative and Z-linear);
   d  generates {lam : lam*w in I};  d | e and e | 2d whenever I != 0 has a
-     pure-w element.
+     pure-w element, and completion raises IdealError if either fails.
 
 Membership is decided by strong reduction against the completed basis:
 divide leading terms by the nearest basis pivot at or below the current
 degree (shifting by powers of z), then reduce the leftover w-part mod d.
+
+The completed basis is unique, so two ideals are equal iff their forms are
+equal under ==.  The other invariants are read off it directly: k from e,
+and the zw exponent from the polynomial parts.  Since w*R = Z*w, the
+quotient R/(w) is Z[z] and the image of the ideal there is the ideal J of
+Z[z] generated by the polynomial parts; so lam*z^k + mu*w lies in the ideal
+for some mu iff lam*z^k lies in J.
 """
 
 from __future__ import annotations
@@ -33,10 +40,24 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd
 
-from .lattice import IntLattice, xgcd
 from .ring import ONE, RingElem, Z, w_pow, z_pow
 
 K_MAX_DEFAULT = 64
+
+
+def xgcd(a, b):
+    """Return (x, y, g) with x*a + y*b == g == gcd(a, b), g >= 0."""
+    x, nx = 1, 0
+    y, ny = 0, 1
+    g, ng = a, b
+    while ng:
+        q = g // ng
+        x, nx = nx, x - q * nx
+        y, ny = ny, y - q * ny
+        g, ng = ng, g - q * ng
+    if g < 0:
+        x, y, g = -x, -y, -g
+    return x, y, g
 
 
 class IdealError(Exception):
@@ -89,11 +110,6 @@ class IdealForm:
     def contains(self, x):
         return _reduce(x, *self._pivots(), self.d).is_zero()
 
-    def equals(self, other):
-        return all(other.contains(b) for b in self.basis) and all(
-            self.contains(b) for b in other.basis
-        )
-
     def k_invariant(self):
         """Least k with some x in the ideal satisfying w*x = 2^k*w.
 
@@ -113,7 +129,7 @@ class IdealForm:
             k = self.k_invariant()
         except IdealError:
             return False
-        return self.equals(ideal_from_generators([z_pow(k)]))
+        return self == z_power_ideal(k)
 
     def nilpotence_exponent(self, k_max=K_MAX_DEFAULT):
         """Smallest k >= 0 with both w^k and z^k in the ideal."""
@@ -125,25 +141,17 @@ class IdealForm:
     def zw_exponent(self, k_max=K_MAX_DEFAULT):
         """Minimal k such that the ideal contains lam*z^k + mu*w with lam != 0.
 
-        For each k, the degree-<=k slice of the ideal is spanned over Z by
-        the z-shifts of basis elements that stay within degree k plus the
-        pure-w element; column-reducing that lattice over the coordinates
-        (1, z, ..., z^k, w) exposes whether a row pivots on z^k.
+        By the R/(w) argument in the module docstring this is the least k
+        with a nonzero multiple of z^k in J.  The lowest polynomial basis
+        element b has the least degree of any nonzero element of J, so it
+        generates J over Q; J thus holds some c*z^k iff b is a monomial c*z^j,
+        and then the least such k is j.  Above k_max, NoSuchKError is raised.
         """
         if self.is_zero():
             raise NoSuchKError("zero ideal")
-        for k in range(k_max + 1):
-            lat = IntLattice(k + 2)
-            for b in self.basis:
-                if not b.poly:
-                    lat.add([0] * (k + 1) + [b.wcoef])
-                    continue
-                for j in range(k - b.degree + 1):
-                    g = z_pow(j) * b
-                    vec = list(g.poly) + [0] * (k + 1 - len(g.poly)) + [g.wcoef]
-                    lat.add(vec)
-            if lat.pivot_row(k) is not None:
-                return k
+        low = next((b.poly for b in self.basis if b.poly), ())
+        if low and not any(low[:-1]) and len(low) <= k_max + 1:
+            return len(low) - 1
         raise NoSuchKError(f"no suitable power of z up to {k_max}")
 
 
@@ -166,7 +174,7 @@ def _reduce(x, degrees, table, d):
     return x
 
 
-def ideal_from_generators(gens, *, run_checks=True):
+def ideal_from_generators(gens):
     """Canonical completed form of the ideal generated by gens."""
     gens = [g if isinstance(g, RingElem) else RingElem(0, (g,)) for g in gens]
     gens = [g for g in gens if not g.is_zero()]
@@ -261,11 +269,11 @@ def ideal_from_generators(gens, *, run_checks=True):
         basis.append(RingElem(d, ()))
     basis.extend(pool[deg] for deg in degrees)
 
-    form = IdealForm(tuple(basis), abs(e), d)
-    if run_checks and basis:
-        assert d == 0 or e % d == 0, (e, d)
-        assert e == 0 or (2 * d) % e == 0, (e, d)
-    return form
+    if d and e % d:
+        raise IdealError(f"completion broke d | e (e = {e}, d = {d})")
+    if e and 2 * d % e:
+        raise IdealError(f"completion broke e | 2d (e = {e}, d = {d})")
+    return IdealForm(tuple(basis), e, d)
 
 
 def ideal_sum(i, j):

@@ -77,12 +77,6 @@ class RingElem:
     def is_zero(self):
         return self.wcoef == 0 and not self.poly
 
-    def constant_value(self):
-        """The integer n if this element is the constant n, else None."""
-        if self.wcoef == 0 and len(self.poly) <= 1:
-            return self.poly[0] if self.poly else 0
-        return None
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):

@@ -9,6 +9,8 @@ Elements are handled as raw (poly, wcoef) pairs of plain integers.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 
 def _xgcd(a, b):
     x, nx = 1, 0
@@ -146,6 +148,40 @@ def wmult_subgroup_oracle(gens):
             a, b = b, a % b
         g = a
     return g
+
+
+def _poly_rem_q(a, b):
+    """Remainder of a by b over Q; coefficient lists, low degree first, stripped."""
+    a = list(a)
+    while len(a) >= len(b):
+        q = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] -= q * c
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def zw_exponent_oracle(gens, k_max):
+    """Least k <= k_max with some lam*z^k + mu*w (lam != 0) in the ideal, or None.
+
+    The ideal contains such an element iff its polynomial parts contain a
+    nonzero multiple of z^k, which happens iff the monic gcd over Q of the
+    generators' polynomial parts is z^j with j <= k; computed by Euclid.
+    """
+    g = []
+    for poly, _ in gens:
+        a, b = g, [Fraction(c) for c in poly]
+        while b:
+            a, b = b, _poly_rem_q(a, b)
+        g = a
+    if not g:
+        return None
+    j = len(g) - 1
+    if [c / g[-1] for c in g] != [0] * j + [1]:
+        return None
+    return j if j <= k_max else None
 
 
 # -- multiplication via structure constants --------------------------------------

@@ -76,12 +76,12 @@ def test_criterion_3_block_ideal_anchors():
     for t in range(11):
         for l in range(11):
             space = SwfSpace(RepSphere(t, l))
-            assert ideal_of(space).equals(z_power_ideal(l)), (t, l)
+            assert ideal_of(space) == z_power_ideal(l), (t, l)
             assert k_of(space) == l, (t, l)
     aug = ideal_from_generators([W, Z])
     for base in (GroupSuspension(), TorusSuspension()):
         space = SwfSpace(base)
-        assert ideal_of(space).equals(aug)
+        assert ideal_of(space) == aug
         assert k_of(space) == 1
     report(3, "rep-sphere ideals are (z^l) with k = l for t, l <= 10; both cones give (w, z), k = 1")
 

@@ -48,18 +48,18 @@ class TestBlockIdeals:
                 expected = unit_ideal()
                 for _ in range(l):
                     expected = ideal_product(expected, z_power_ideal(1))
-                assert ideal_of(space(RepSphere(t, l))).equals(expected)
+                assert ideal_of(space(RepSphere(t, l))) == expected
                 assert k_of(space(RepSphere(t, l))) == l
 
     def test_unreduced_suspensions(self):
-        assert ideal_of(space(GroupSuspension())).equals(AUG)
-        assert ideal_of(space(TorusSuspension())).equals(AUG)
+        assert ideal_of(space(GroupSuspension())) == AUG
+        assert ideal_of(space(TorusSuspension())) == AUG
         assert k_of(space(GroupSuspension())) == 1
         assert k_of(space(TorusSuspension())) == 1
 
     def test_suspended_group_block(self):
         suspended = ideal_of(space(GroupSuspension(0, 1)))
-        assert suspended.equals(ideal_product(AUG, z_power_ideal(1)))
+        assert suspended == ideal_product(AUG, z_power_ideal(1))
         assert suspended.k_invariant() == 2
 
     def test_free_cells_are_invisible(self):
