@@ -1,10 +1,11 @@
 """Admissibility checks for spin intersection forms p(-E8) + q*H.
 
 Every check instantiates one exact inequality and returns a Verdict; all
-comparisons run in exact integers or rationals.  The xi pipeline combines
-three upper-bound routes (stored spin fillings, stored orbifold constants,
-and kappa computed through the spectrum-class machinery) with lower bounds
-read off the filling table.
+comparisons run in exact integers.  The xi pipeline combines three
+upper-bound routes (stored spin fillings, stored orbifold constants, and
+kappa computed through the spectrum-class machinery) with lower bounds read
+off the filling table.  Only the xi pipeline imports that machinery, and it
+does so on first use, so the other checks load neither spectra nor ideals.
 
 Filling table conventions: a stored filling (p, q) of a manifold Y also
 yields, with reversed orientation, a filling (-p, q) of -Y.  A filling of
@@ -19,12 +20,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
-from .spectra import UnsupportedSeifertDataError, brieskorn_class, brieskorn_family, s3_class
+from . import Pin2kError
 
 
-class BoundsError(Exception):
+class BoundsError(Pin2kError):
     pass
 
 
@@ -122,10 +122,10 @@ def furuta_closed(p, q):
 
 
 def conjecture_11_8(p, q):
-    """Closed-manifold 11/8 conjecture: q >= 3p/2, checked in exact rationals."""
+    """Closed-manifold 11/8 conjecture: q >= 3p/2, checked as 2q >= 3p."""
     if q <= 0 or p < 0:
         return Verdict(Status.INAPPLICABLE, f"needs q > 0 and p >= 0, got p={p}, q={q}")
-    return _verdict(Fraction(q) >= Fraction(3 * p, 2), f"{q} >= 3*{p}/2")
+    return _verdict(2 * q >= 3 * p, f"{q} >= 3*{p}/2")
 
 
 def orbifold_bound(p, q, b2plus_filling, mu_bar):
@@ -203,10 +203,13 @@ def canonical_bauer_chain(r, non_split_at=None):
     """The standard decomposition: r - 1 pieces 2(-E8)+3H, one final 2(-E8)+2H.
 
     Interior boundaries get kappa 0 and are split unless non_split_at names
-    one of them (1-based).
+    one of them (1-based); any other non_split_at raises MalformedChainError.
     """
     if r < 1:
         raise MalformedChainError("need at least one piece")
+    if non_split_at is not None and not 1 <= non_split_at < r:
+        valid = f"1..{r - 1}" if r > 1 else "none, a 1-piece chain has no interior boundary"
+        raise MalformedChainError(f"non-split boundary {non_split_at} is out of range (valid: {valid})")
     chain = []
     for i in range(1, r):
         split = non_split_at != i
@@ -242,6 +245,8 @@ _FAMILIES = ("12n-1", "12n-5", "12n+1", "12n+5")
 
 
 def parse_manifold(text):
+    from .spectra import UnsupportedSeifertDataError, brieskorn_family
+
     text = text.strip()
     if text in ("S3", "S^3"):
         return Manifold()
@@ -319,6 +324,8 @@ def _fillings(manifold):
 
 
 def manifold_kappa(manifold):
+    from .spectra import brieskorn_class, s3_class
+
     if manifold.family == "S3":
         return s3_class().kappa()
     m = manifold.m if manifold.m is not None else _FAMILY_REP[manifold.family]

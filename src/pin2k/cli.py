@@ -4,23 +4,25 @@ Exit codes: 0 for satisfied verdicts and successful computations, 1 for a
 violated verdict, 2 for usage or domain errors.  Every subcommand takes
 --json; table and JSON output carry the same numbers.  The environment
 variable PIN2K_KMAX overrides the search cap used by ideal queries.
+
+Each subcommand imports the layers it runs when it runs, and json only for
+--json or a --chain, so start-up pays for nothing else.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from fractions import Fraction
 
-from . import bounds as fb
-from . import ideals, ring, spectra
+from . import Pin2kError
 
 
 def _k_max():
+    from .ideals import K_MAX_DEFAULT
+
     try:
-        return int(os.environ.get("PIN2K_KMAX", ideals.K_MAX_DEFAULT))
+        return int(os.environ.get("PIN2K_KMAX", K_MAX_DEFAULT))
     except ValueError:
         raise SystemExit(_usage_error("PIN2K_KMAX must be an integer"))
 
@@ -32,17 +34,23 @@ def _usage_error(message):
 
 def _emit(args, table_text, payload):
     if args.json:
+        import json
+
         print(json.dumps(payload, sort_keys=True))
     else:
         print(table_text)
 
 
 def _frac_str(value):
+    from fractions import Fraction
+
     value = Fraction(value)
     return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
 def _frac_json(value):
+    from fractions import Fraction
+
     value = Fraction(value)
     return int(value) if value.denominator == 1 else _frac_str(value)
 
@@ -51,6 +59,8 @@ def _frac_json(value):
 
 
 def _cmd_ring(args):
+    from . import ring
+
     x = ring.parse(args.expr)
     if args.action == "eval":
         _emit(args, str(x), {"expr": args.expr, "normal_form": str(x)})
@@ -68,11 +78,15 @@ def _cmd_ring(args):
 
 
 def _parse_gens(text):
+    from . import ring
+
     items = [piece.strip() for piece in text.split(",")]
     return [ring.parse(piece) for piece in items if piece]
 
 
 def _ideal_payload(gens, form):
+    from . import ideals
+
     try:
         k = form.k_invariant()
     except ideals.IdealError:
@@ -88,6 +102,8 @@ def _ideal_payload(gens, form):
 
 
 def _cmd_ideal(args):
+    from . import ideals, ring
+
     k_max = _k_max()
     gens = _parse_gens(args.gens)
     form = ideals.ideal_from_generators(gens)
@@ -138,11 +154,15 @@ def _cmd_ideal(args):
 
 
 def _check_seifert(a, b):
+    from . import spectra
+
     if (a, b) != (2, 3):
         raise spectra.UnsupportedSeifertDataError(f"only Sigma(2,3,m) is supported, got ({a},{b},...)")
 
 
 def _brieskorn_payload(m, orientation):
+    from . import spectra
+
     cls = spectra.brieskorn_class(m, orientation)
     return cls, {
         "brieskorn": [2, 3, m],
@@ -157,6 +177,8 @@ def _brieskorn_payload(m, orientation):
 
 def _cmd_brieskorn(args):
     if args.action == "table":
+        from . import spectra
+
         rows = []
         for m in range(7, args.max_m + 1):
             if m % 2 == 0 or m % 3 == 0:
@@ -165,6 +187,8 @@ def _cmd_brieskorn(args):
                 kappa = spectra.brieskorn_kappa(m, orient)
                 rows.append({"m": m, "orientation": orient, "kappa": _frac_json(kappa)})
         if args.json:
+            import json
+
             print(json.dumps({"rows": rows}, sort_keys=True))
         else:
             for row in rows:
@@ -202,6 +226,8 @@ def _verdict_result(args, verdict, extra=None):
 
 
 def _cmd_bounds(args):
+    from . import bounds as fb
+
     if args.action == "definite":
         v = fb.definite_bound(args.kappa0, args.kappa1, args.b2)
     elif args.action == "relative":
@@ -242,8 +268,12 @@ def _xi_row_payload(row):
 
 
 def _cmd_xi(args):
+    from . import bounds as fb
+
     if args.action == "table":
         if args.json:
+            import json
+
             rows = [_xi_row_payload(r) for r in fb.xi_table_rows()]
             print(json.dumps({"rows": rows}, sort_keys=True))
         else:
@@ -262,24 +292,56 @@ def _cmd_xi(args):
 # -- bauer ---------------------------------------------------------------------------
 
 
+_JSON_KINDS = {int: "an integer", bool: "a boolean", str: "a string"}
+
+
 def _chain_from_json(text):
+    """The chain a --chain argument spells; MalformedChainError unless it is a
+    list of {"p": int, "q": int, "boundary": null or {"kappa": int,
+    "kg_split": bool, "name": str}} objects ("boundary" and "name" optional)."""
+    import json
+
+    from . import bounds as fb
+
+    def field(obj, key, kind, where, default=None):
+        if key not in obj and default is None:
+            raise fb.MalformedChainError(f"{where}: {key!r} is missing")
+        value = obj.get(key, default)
+        if type(value) is not kind:  # rejects true/false where an integer belongs
+            raise fb.MalformedChainError(f"{where}: {key!r} must be {_JSON_KINDS[kind]}")
+        return value
+
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as err:
         raise fb.MalformedChainError(f"bad chain JSON: {err}") from None
+    except RecursionError:
+        raise fb.MalformedChainError("bad chain JSON: nested too deeply") from None
+    if not isinstance(raw, list):
+        raise fb.MalformedChainError("chain must be a JSON list of {p, q, boundary} objects")
     chain = []
-    for entry in raw:
-        form = fb.IntersectionForm(entry["p"], entry["q"])
+    for i, entry in enumerate(raw):
+        where = f"chain entry {i}"
+        if not isinstance(entry, dict):
+            raise fb.MalformedChainError(f"{where} is not an object")
+        form = fb.IntersectionForm(field(entry, "p", int, where), field(entry, "q", int, where))
         boundary = entry.get("boundary")
         if boundary is not None:
+            where = f"boundary of {where}"
+            if not isinstance(boundary, dict):
+                raise fb.MalformedChainError(f"{where} is not an object")
             boundary = fb.BoundaryData(
-                boundary["kappa"], boundary["kg_split"], boundary.get("name", "")
+                field(boundary, "kappa", int, where),
+                field(boundary, "kg_split", bool, where),
+                field(boundary, "name", str, where, default=""),
             )
         chain.append((form, boundary))
     return chain
 
 
 def _cmd_bauer(args):
+    from . import bounds as fb
+
     if args.action == "canonical":
         chain = fb.canonical_bauer_chain(args.pieces, args.non_split_boundary)
     else:  # check
@@ -382,13 +444,7 @@ def main(argv=None):
         return _usage_error("bauer check requires --chain")
     try:
         return args.func(args)
-    except (
-        ring.ParseError,
-        ideals.IdealError,
-        spectra.SpectraError,
-        fb.BoundsError,
-        ValueError,
-    ) as err:
+    except (Pin2kError, ValueError) as err:
         return _usage_error(str(err))
 
 

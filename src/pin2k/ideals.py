@@ -40,6 +40,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd
 
+from . import Pin2kError
 from .ring import ONE, RingElem, Z, w_pow, z_pow
 
 K_MAX_DEFAULT = 64
@@ -60,7 +61,7 @@ def xgcd(a, b):
     return x, y, g
 
 
-class IdealError(Exception):
+class IdealError(Pin2kError):
     pass
 
 

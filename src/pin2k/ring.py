@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import Pin2kError
+
 
 def _strip(poly):
     """Drop trailing zero coefficients; () is the zero polynomial."""
@@ -307,7 +309,7 @@ class LaurentElem:
 # -- parsing ------------------------------------------------------------------
 
 
-class ParseError(ValueError):
+class ParseError(Pin2kError, ValueError):
     """Syntax error in the element grammar; offset is a byte offset."""
 
     def __init__(self, message, text, pos):
@@ -316,6 +318,12 @@ class ParseError(ValueError):
 
 
 _IDENTS = {"w": W, "z": Z, "c~": CTILDE, "h": H}
+_DIGITS = "0123456789"
+
+# Bound on open parentheses plus pending unary minus signs.  The parser
+# recurses up to five frames per level, so this keeps it well inside
+# Python's default recursion limit of 1000, however deep the caller's stack.
+MAX_NESTING = 100
 
 
 class _Tokens:
@@ -328,9 +336,9 @@ class _Tokens:
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            if ch in _DIGITS:
                 j = i
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
                 self.items.append(("int", int(text[i:j]), i))
                 i = j
@@ -347,6 +355,7 @@ class _Tokens:
                 raise ParseError(f"unexpected character {ch!r}", text, i)
         self.items.append(("end", None, n))
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.items[self.pos]
@@ -355,6 +364,11 @@ class _Tokens:
         tok = self.items[self.pos]
         self.pos += 1
         return tok
+
+    def enter(self, pos):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING}", self.text, pos)
 
     def expect(self, kind):
         tok = self.next()
@@ -392,8 +406,10 @@ def _parse_product(toks):
 
 def _parse_unary(toks):
     if toks.peek()[0] == "-":
-        toks.next()
-        return -_parse_unary(toks)
+        toks.enter(toks.next()[2])
+        value = -_parse_unary(toks)
+        toks.depth -= 1
+        return value
     return _parse_power(toks)
 
 
@@ -413,7 +429,9 @@ def _parse_atom(toks):
     if kind == "ident":
         return _IDENTS[val]
     if kind == "(":
+        toks.enter(pos)
         value = _parse_sum(toks)
         toks.expect(")")
+        toks.depth -= 1
         return value
     raise ParseError(f"unexpected token {val!r}", toks.text, pos)

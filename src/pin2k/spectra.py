@@ -27,11 +27,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
+from . import Pin2kError
 from .ideals import IdealForm, ideal_from_generators, ideal_product
 from .ring import W, Z, z_pow
 
 
-class SpectraError(Exception):
+class SpectraError(Pin2kError):
     pass
 
 

@@ -67,6 +67,8 @@ class TestCobordismBounds:
         # exact rational comparison: q = 3, p = 2 sits exactly on 3p/2
         assert conjecture_11_8(4, 6).status is Status.SATISFIED
         assert conjecture_11_8(4, 5).status is Status.VIOLATED
+        assert conjecture_11_8(3, 5).status is Status.SATISFIED
+        assert conjecture_11_8(3, 4).status is Status.VIOLATED
 
     def test_grid_matches_closed_bound(self):
         for p in range(0, 21):
@@ -135,6 +137,9 @@ class TestBauerChains:
             bauer_chain_check([(IntersectionForm(2, 3), None), (IntersectionForm(2, 2), None)])
         with pytest.raises(MalformedChainError):
             canonical_bauer_chain(0)
+        for r, spot in ((3, 0), (3, 3), (3, 7), (1, 1)):
+            with pytest.raises(MalformedChainError, match="out of range"):
+                canonical_bauer_chain(r, non_split_at=spot)
 
 
 EXACT_XI = {

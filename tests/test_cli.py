@@ -43,6 +43,52 @@ class TestExitCodes:
         assert info.value.code == 2
 
 
+class TestMalformedInput:
+    """Inputs that once crashed or were silently accepted end in one error line."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("bauer", "check", "--chain", '{"p":1}'), "chain must be a JSON list"),
+            (("bauer", "check", "--chain", '[{"p":1}]'), "chain entry 0: 'q' is missing"),
+            (("bauer", "check", "--chain", "[1]"), "chain entry 0 is not an object"),
+            (("bauer", "check", "--chain", '[{"p":true,"q":3}]'), "'p' must be an integer"),
+            (("bauer", "check", "--chain", '[{"p":2,"q":2.5}]'), "'q' must be an integer"),
+            (
+                ("bauer", "check", "--chain", '[{"p":2,"q":3,"boundary":{"kappa":0}}]'),
+                "boundary of chain entry 0: 'kg_split' is missing",
+            ),
+            (
+                ("bauer", "check", "--chain", '[{"p":2,"q":3,"boundary":{"kappa":"0","kg_split":true}}]'),
+                "'kappa' must be an integer",
+            ),
+            (
+                ("bauer", "check", "--chain", '[{"p":2,"q":3,"boundary":{"kappa":0,"kg_split":1}}]'),
+                "'kg_split' must be a boolean",
+            ),
+            (
+                ("bauer", "check", "--chain", '[{"p":2,"q":3,"boundary":{"kappa":0,"kg_split":true,"name":7}}]'),
+                "'name' must be a string",
+            ),
+            (("bauer", "check", "--chain", '[{"p":2,"q":3,"boundary":[]}]'), "boundary of chain entry 0 is not"),
+            (("bauer", "check", "--chain", "[" * 3000 + "]" * 3000), "nested too deeply"),
+            (("ring", "eval", "(" * 3000 + "1" + ")" * 3000), "nesting deeper than 100 at byte 100"),
+            (("ring", "eval", "--", "-" * 3000 + "1"), "nesting deeper than 100 at byte 100"),
+            (("ring", "eval", "\uff11\uff12"), "at byte 0"),
+            (("ring", "eval", "z^\u00b2"), "at byte 2"),
+            (("ideal", "k", "--gens", "z, \u00b2"), "unexpected character '\u00b2' at byte 0"),
+            (("bauer", "canonical", "--pieces", "3", "--non-split-boundary", "7"), "(valid: 1..2)"),
+            (("bauer", "canonical", "--pieces", "3", "--non-split-boundary", "0"), "(valid: 1..2)"),
+            (("bauer", "canonical", "--pieces", "1", "--non-split-boundary", "1"), "(valid: none"),
+        ],
+    )
+    def test_one_error_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+
 class TestRing:
     def test_eval(self, capsys):
         code, out, _ = run(capsys, "ring", "eval", "(1 - w)*(1 - w)")

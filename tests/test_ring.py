@@ -53,12 +53,32 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "text,offset",
-        [("w +", 3), ("(z", 2), ("z^", 2), ("q", 0), ("1 ** 2", 3), ("z^-1", 2)],
+        [
+            ("w +", 3),
+            ("(z", 2),
+            ("z^", 2),
+            ("q", 0),
+            ("1 ** 2", 3),
+            ("z^-1", 2),
+            ("\uff11\uff12", 0),  # fullwidth digits
+            ("z^\u00b2", 2),  # superscript two
+            ("(\u00b2)", 1),
+            ("2 + \u0663", 4),  # Arabic-Indic digit three
+            ("(" * 101 + "1" + ")" * 101, 100),
+            ("-" * 101 + "1", 100),
+            ("-(" * 50 + "-1" + ")" * 50, 100),
+        ],
     )
     def test_errors_carry_byte_offsets(self, text, offset):
         with pytest.raises(ParseError) as info:
             parse(text)
         assert info.value.offset == offset
+
+    def test_nesting_up_to_the_limit(self):
+        assert parse("(" * 100 + "z" + ")" * 100) == Z
+        assert parse("-" * 100 + "z") == Z
+        assert parse("-(" * 50 + "z" + ")" * 50) == Z
+        assert parse(" + ".join(["(((z)))"] * 200)) == 200 * Z  # depth is per level, not per input
 
     def test_format_roundtrip_examples(self):
         for text in ["0", "1", "-1", "z", "-z", "w", "3 - 2*z + z^2 - 4*w", "2*w"]:
