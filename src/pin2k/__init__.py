@@ -2,7 +2,10 @@
 and Furuta-style bounds on spin intersection forms.
 
 The public names below are loaded on first access (PEP 562), so importing
-the package, or one layer of it, does not import the other layers.
+the package, or one layer of it, does not import the other layers.  The
+value classes of every layer derive from Record, defined here, rather than
+from dataclasses, whose import (with inspect) and per-class code generation
+would cost every CLI call more than the command itself.
 """
 
 from importlib import import_module
@@ -10,6 +13,50 @@ from importlib import import_module
 
 class Pin2kError(Exception):
     """Base of every domain error the calculator raises."""
+
+
+class Record:
+    """Base of the immutable value classes.
+
+    A subclass names its fields in __slots__ and sets them in __init__ with
+    object.__setattr__; its __init__ takes the fields as parameters of the
+    same names, in the same order.  Instances are equal only to instances of
+    the same class with equal fields, hash by their fields, print as
+    Name(field=value, ...), and refuse assignment and deletion; _replace
+    returns a copy with some fields changed, validated by __init__ again.
+    """
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since __setattr__ refuses
+        return type(self), self._values()
+
+    def _replace(self, **changes):
+        fields = dict(zip(self.__slots__, self._values()))
+        fields.update(changes)
+        return type(self)(**fields)
 
 
 _HOMES = {

@@ -18,10 +18,9 @@ summand.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 
-from . import Pin2kError
+from . import Pin2kError, Record
 
 
 class BoundsError(Pin2kError):
@@ -42,25 +41,27 @@ class Status(Enum):
     INAPPLICABLE = "inapplicable"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: Status
-    inequality: str
+class Verdict(Record):
+    __slots__ = ("status", "inequality")
+
+    def __init__(self, status, inequality):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "inequality", inequality)
 
     def exit_code(self):
         return 1 if self.status is Status.VIOLATED else 0
 
 
-@dataclass(frozen=True)
-class IntersectionForm:
+class IntersectionForm(Record):
     """p copies of -E8 (negative p means +E8) plus q hyperbolic summands."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if self.q < 0:
+    def __init__(self, p, q):
+        if q < 0:
             raise ValueError("q must be nonnegative")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     @property
     def b2(self):
@@ -71,11 +72,13 @@ class IntersectionForm:
         return -8 * self.p
 
 
-@dataclass(frozen=True)
-class BoundaryData:
-    kappa: int
-    kg_split: bool
-    name: str = ""
+class BoundaryData(Record):
+    __slots__ = ("kappa", "kg_split", "name")
+
+    def __init__(self, kappa, kg_split, name=""):
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "kg_split", kg_split)
+        object.__setattr__(self, "name", name)
 
 
 def _verdict(ok, text):
@@ -221,16 +224,18 @@ def canonical_bauer_chain(r, non_split_at=None):
 # -- the xi pipeline -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Manifold:
+class Manifold(Record):
     """A supported boundary: the standard sphere or an oriented Sigma(2,3,m).
 
     m is None for a whole-family query (generic index, no sporadic fillings).
     """
 
-    sign: int = 1
-    family: str = "S3"
-    m: int | None = None
+    __slots__ = ("sign", "family", "m")
+
+    def __init__(self, sign=1, family="S3", m=None):
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "m", m)
 
     def label(self):
         if self.family == "S3":
@@ -332,15 +337,21 @@ def manifold_kappa(manifold):
     return brieskorn_class(m, "+" if manifold.sign > 0 else "-").kappa()
 
 
-@dataclass(frozen=True)
-class XiBounds:
-    manifold: Manifold
-    lower: int | None
-    upper_filling: int | None
-    upper_orbifold: int | None
-    upper_kappa: int
-    upper: int
-    exact: int | None
+class XiBounds(Record):
+    """Bounds on xi of one manifold: the lower bound, the three upper-bound
+    routes, their minimum and the exact value where the bounds meet; None
+    where a route or bound gives nothing."""
+
+    __slots__ = ("manifold", "lower", "upper_filling", "upper_orbifold", "upper_kappa", "upper", "exact")
+
+    def __init__(self, manifold, lower, upper_filling, upper_orbifold, upper_kappa, upper, exact):
+        object.__setattr__(self, "manifold", manifold)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper_filling", upper_filling)
+        object.__setattr__(self, "upper_orbifold", upper_orbifold)
+        object.__setattr__(self, "upper_kappa", upper_kappa)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "exact", exact)
 
 
 def xi_bounds(manifold) -> XiBounds:

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 for satisfied verdicts and successful computations, 1 for a
-violated verdict, 2 for usage or domain errors.  Every subcommand takes
---json; table and JSON output carry the same numbers.  The environment
-variable PIN2K_KMAX overrides the search cap used by ideal queries.
+violated verdict, 2 for usage or domain errors, 3 for an internal error.
+Every subcommand takes --json; table and JSON output carry the same
+numbers.  The environment variable PIN2K_KMAX overrides the search cap used
+by ideal queries.
 
 Each subcommand imports the layers it runs when it runs, and json only for
 --json or a --chain, so start-up pays for nothing else.
@@ -25,6 +26,11 @@ def _k_max():
         return int(os.environ.get("PIN2K_KMAX", K_MAX_DEFAULT))
     except ValueError:
         raise SystemExit(_usage_error("PIN2K_KMAX must be an integer"))
+
+
+# How CPython's ValueError for an int/str conversion over
+# sys.get_int_max_str_digits() begins.
+_DIGIT_LIMIT_MESSAGE = "Exceeds the limit ("
 
 
 def _usage_error(message):
@@ -317,6 +323,9 @@ def _chain_from_json(text):
         raise fb.MalformedChainError(f"bad chain JSON: {err}") from None
     except RecursionError:
         raise fb.MalformedChainError("bad chain JSON: nested too deeply") from None
+    except ValueError:  # the only other ValueError json raises: an integer over the digit limit
+        limit = sys.get_int_max_str_digits()
+        raise fb.MalformedChainError(f"bad chain JSON: an integer has more than {limit} digits") from None
     if not isinstance(raw, list):
         raise fb.MalformedChainError("chain must be a JSON list of {p, q, boundary} objects")
     chain = []
@@ -445,7 +454,17 @@ def main(argv=None):
     try:
         return args.func(args)
     except (Pin2kError, ValueError) as err:
-        return _usage_error(str(err))
+        message = str(err)
+        if message.startswith(_DIGIT_LIMIT_MESSAGE):
+            # printing an exact answer; input digit runs are rejected where they are read
+            message = (
+                f"the answer has an integer of more than {sys.get_int_max_str_digits()} digits, "
+                "the output limit (set PYTHONINTMAXSTRDIGITS to raise it)"
+            )
+        return _usage_error(message)
+    except Exception as err:  # a bug, not a verdict: keep it off exit codes 1 and 2
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -37,10 +37,9 @@ for some mu iff lam*z^k lies in J.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import gcd
 
-from . import Pin2kError
+from . import Pin2kError, Record
 from .ring import ONE, RingElem, Z, w_pow, z_pow
 
 K_MAX_DEFAULT = 64
@@ -81,8 +80,7 @@ class NoSuchKError(IdealError):
     """The ideal meets no line Z*z^k + Z*w with nonzero z-part below the cap."""
 
 
-@dataclass(frozen=True)
-class IdealForm:
+class IdealForm(Record):
     """Completed canonical form of a finitely generated ideal.
 
     basis is sorted by polynomial degree with the pure-w element (if any)
@@ -90,9 +88,12 @@ class IdealForm:
     module docstring.
     """
 
-    basis: tuple = ()
-    e: int = 0
-    d: int = 0
+    __slots__ = ("basis", "e", "d")
+
+    def __init__(self, basis=(), e=0, d=0):
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "d", d)
 
     # -- queries --------------------------------------------------------------
 

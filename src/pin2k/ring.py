@@ -13,18 +13,22 @@ z = 2 - h.  The parser accepts both; storage is always in {w, z}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
 
-from . import Pin2kError
+from . import Pin2kError, Record
+
+# Record fields are set with object's own __setattr__, bypassing the refusal.
+_set = object.__setattr__
 
 
-def _strip(poly):
-    """Drop trailing zero coefficients; () is the zero polynomial."""
-    poly = tuple(int(c) for c in poly)
-    n = len(poly)
-    while n and poly[n - 1] == 0:
-        n -= 1
-    return poly[:n]
+def _strip(coeffs):
+    """The list coeffs as a tuple without trailing zeros; () is the zero polynomial.
+
+    Pops the zeros off coeffs itself, so callers pass a list of their own.
+    """
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def _poly_add(p, q):
@@ -58,16 +62,21 @@ def _poly_eval(p, x):
     return acc
 
 
-@dataclass(frozen=True)
-class RingElem:
-    """Normal form lam*w + P(z); poly holds P's coefficients, low degree first."""
+class RingElem(Record):
+    """Normal form lam*w + P(z); poly holds P's coefficients, low degree first.
 
-    wcoef: int = 0
-    poly: tuple = ()
+    The constructor coerces wcoef and the coefficients of poly (any
+    iterable) to int and drops trailing zeros from poly.  A poly that is
+    already a tuple of ints without trailing zeros is kept, not copied.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "wcoef", int(self.wcoef))
-        object.__setattr__(self, "poly", _strip(self.poly))
+    __slots__ = ("wcoef", "poly")
+
+    def __init__(self, wcoef=0, poly=()):
+        _set(self, "wcoef", int(wcoef))
+        if type(poly) is not tuple or not all(type(c) is int for c in poly) or (poly and not poly[-1]):
+            poly = _strip([int(c) for c in poly])
+        _set(self, "poly", poly)
 
     # -- structure ----------------------------------------------------------
 
@@ -244,11 +253,13 @@ def to_ch(x):
     return -x.wcoef, q
 
 
-@dataclass(frozen=True)
-class LaurentElem:
+class LaurentElem(Record):
     """Finitely supported integer Laurent polynomial in theta."""
 
-    terms: tuple = field(default=())  # sorted ((exponent, coeff), ...), coeff != 0
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=()):
+        _set(self, "terms", terms)  # sorted ((exponent, coeff), ...), coeff != 0
 
     @staticmethod
     def make(mapping):
@@ -326,6 +337,11 @@ _DIGITS = "0123456789"
 MAX_NESTING = 100
 
 
+def _digit_limit():
+    """CPython's cap on the digits of an int converted from or to text; 0 is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 class _Tokens:
     def __init__(self, text):
         self.text = text
@@ -340,6 +356,9 @@ class _Tokens:
                 j = i
                 while j < n and text[j] in _DIGITS:
                     j += 1
+                limit = _digit_limit()
+                if limit and j - i > limit:
+                    raise ParseError(f"integer literal has {j - i} digits, over the limit of {limit}", text, i)
                 self.items.append(("int", int(text[i:j]), i))
                 i = j
             elif ch == "c" and i + 1 < n and text[i + 1] == "~":

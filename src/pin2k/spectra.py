@@ -23,11 +23,10 @@ free space), which is what makes the duality bookkeeping below work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
-from . import Pin2kError
+from . import Pin2kError, Record
 from .ideals import IdealForm, ideal_from_generators, ideal_product
 from .ring import W, Z, z_pow
 
@@ -44,40 +43,40 @@ class UnsupportedSeifertDataError(SpectraError):
     pass
 
 
-@dataclass(frozen=True)
-class RepSphere:
-    t: int = 0
-    l: int = 0
+class RepSphere(Record):
+    __slots__ = ("t", "l")
 
-    def __post_init__(self):
-        if self.t < 0 or self.l < 0:
+    def __init__(self, t=0, l=0):
+        if t < 0 or l < 0:
             raise UnsupportedBlockError("representation sphere needs t, l >= 0")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "l", l)
 
     def label(self):
         return f"(C~^{self.t} + H^{self.l})^+" if (self.t or self.l) else "S^0"
 
 
-@dataclass(frozen=True)
-class GroupSuspension:
-    t: int = 0
-    l: int = 0
+class GroupSuspension(Record):
+    __slots__ = ("t", "l")
 
-    def __post_init__(self):
-        if self.t < 0 or self.l < 0:
+    def __init__(self, t=0, l=0):
+        if t < 0 or l < 0:
             raise UnsupportedBlockError("suspension pair must be nonnegative")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "l", l)
 
     def label(self):
         return _susp_label("SuspG", self.t, self.l)
 
 
-@dataclass(frozen=True)
-class TorusSuspension:
-    t: int = 0
-    l: int = 0
+class TorusSuspension(Record):
+    __slots__ = ("t", "l")
 
-    def __post_init__(self):
-        if self.t < 0 or self.l < 0:
+    def __init__(self, t=0, l=0):
+        if t < 0 or l < 0:
             raise UnsupportedBlockError("suspension pair must be nonnegative")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "l", l)
 
     def label(self):
         return _susp_label("SuspT", self.t, self.l)
@@ -92,25 +91,26 @@ def _susp_label(name, t, l):
     return prefix + name
 
 
-@dataclass(frozen=True)
-class FreeCell:
-    a: int
+class FreeCell(Record):
+    __slots__ = ("a",)
+
+    def __init__(self, a):
+        object.__setattr__(self, "a", a)
 
     def label(self):
         return f"S^{self.a} G+"
 
 
-@dataclass(frozen=True)
-class SwfSpace:
-    base: object
-    free: tuple = ()
+class SwfSpace(Record):
+    __slots__ = ("base", "free")
 
-    def __post_init__(self):
-        if not isinstance(self.base, (RepSphere, GroupSuspension, TorusSuspension)):
-            raise UnsupportedBlockError(f"unsupported base block {self.base!r}")
-        free = tuple(self.free)
+    def __init__(self, base, free=()):
+        if not isinstance(base, (RepSphere, GroupSuspension, TorusSuspension)):
+            raise UnsupportedBlockError(f"unsupported base block {base!r}")
+        free = tuple(free)
         if not all(isinstance(c, FreeCell) for c in free):
             raise UnsupportedBlockError("free summands must be FreeCell blocks")
+        object.__setattr__(self, "base", base)
         object.__setattr__(self, "free", free)
 
     @property
@@ -144,18 +144,17 @@ REP_CTILDE = "c~"
 REP_H = "h"
 
 
-@dataclass(frozen=True)
-class SpectrumClass:
+class SpectrumClass(Record):
     """Space with formal de-suspension counts (m sign planes, n quaternions)."""
 
-    space: SwfSpace
-    m: int = 0
-    n: Fraction = Fraction(0)
+    __slots__ = ("space", "m", "n")
 
-    def __post_init__(self):
-        n = Fraction(self.n)
+    def __init__(self, space, m=0, n=0):
+        n = Fraction(n)
         if (16 * n).denominator != 1:
             raise UnsupportedBlockError("n must have denominator dividing 16")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
 
     # -- invariants ------------------------------------------------------------
@@ -180,10 +179,10 @@ class SpectrumClass:
             raise ValueError("count must be nonnegative")
         base = self.space.base
         if rep == REP_H:
-            base = replace(base, l=base.l + count)
+            base = base._replace(l=base.l + count)
             shift = 4 * count
         elif rep == REP_CTILDE:
-            base = replace(base, t=base.t + count)
+            base = base._replace(t=base.t + count)
             shift = 2 * count
         else:
             raise ValueError(f"unknown representation {rep!r}")
@@ -206,7 +205,7 @@ class SpectrumClass:
         t, l = base.t, base.l
         if t == 0 and l == 0:
             return self
-        stripped = replace(base, t=0, l=0)
+        stripped = base._replace(t=0, l=0)
         free = tuple(FreeCell(c.a - 2 * t - 4 * l) for c in self.space.free)
         return SpectrumClass(SwfSpace(stripped, free), self.m - t, self.n - l)
 

@@ -42,6 +42,26 @@ class TestExitCodes:
             cli.main(["bogus"])
         assert info.value.code == 2
 
+    def test_internal_error_is_three(self, capsys, monkeypatch):
+        def crash(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_ring", crash)
+        code, out, err = run(capsys, "ring", "eval", "1")
+        assert (code, out, err) == (3, "", "internal error: RuntimeError: boom\n")
+
+    @pytest.mark.parametrize("action", ["eval", "augment", "wmul"])
+    def test_answer_over_the_digit_limit_is_two(self, capsys, action):
+        for json_flag in ((), ("--json",)):
+            code, out, err = run(capsys, "ring", action, "2^20000", *json_flag)
+            assert code == 2 and out == ""
+            assert err == (
+                "error: the answer has an integer of more than 4300 digits, the output limit "
+                "(set PYTHONINTMAXSTRDIGITS to raise it)\n"
+            )
+        code, out, _ = run(capsys, "ring", action, "2^14000")
+        assert code == 0 and len(out) > 4200
+
 
 class TestMalformedInput:
     """Inputs that once crashed or were silently accepted end in one error line."""
@@ -80,6 +100,8 @@ class TestMalformedInput:
             (("bauer", "canonical", "--pieces", "3", "--non-split-boundary", "7"), "(valid: 1..2)"),
             (("bauer", "canonical", "--pieces", "3", "--non-split-boundary", "0"), "(valid: 1..2)"),
             (("bauer", "canonical", "--pieces", "1", "--non-split-boundary", "1"), "(valid: none"),
+            (("ring", "eval", "7" * 5000), "integer literal has 5000 digits, over the limit of 4300 at byte 0"),
+            (("bauer", "check", "--chain", '[{"p":%s,"q":3}]' % ("7" * 5000)), "more than 4300 digits"),
         ],
     )
     def test_one_error_line(self, capsys, argv, message):

@@ -74,6 +74,11 @@ class TestParse:
             parse(text)
         assert info.value.offset == offset
 
+    def test_digit_runs_up_to_the_int_str_limit(self):
+        assert parse("9" * 4300) == const(10**4300 - 1)
+        with pytest.raises(ParseError, match="integer literal has 5000 digits, over the limit of 4300 at byte 4"):
+            parse("z + " + "7" * 5000)
+
     def test_nesting_up_to_the_limit(self):
         assert parse("(" * 100 + "z" + ")" * 100) == Z
         assert parse("-" * 100 + "z") == Z
@@ -149,6 +154,24 @@ class TestArithmetic:
             x = RingElem(xp[1], xp[0])
             y = RingElem(yp[1], yp[0])
             assert as_pair(x * y) == mul_matrix_oracle(xp, yp)
+
+    def test_constructor_strips_and_coerces(self):
+        x = RingElem(True, [1, False, 0, 0])
+        assert (x.wcoef, x.poly) == (1, (1,))
+        assert type(x.wcoef) is int and type(x.poly) is tuple and type(x.poly[0]) is int
+        assert RingElem(0, (0, 0)).poly == () and RingElem(0, (0, 0)) == ZERO
+        assert RingElem(0, (c for c in (2, 3, 0))) == RingElem(0, (2, 3))
+        padded = (3, 0, 0)
+        assert RingElem(1, padded).poly == (3,) and padded == (3, 0, 0)
+        normal = (3, 0, 4)
+        assert RingElem(1, normal).poly is normal
+
+    def test_operations_stay_in_normal_form(self):
+        # the constructor keeps the tuples the operations build, so those must be normal
+        for x in (z_pow(2) - z_pow(2), W - W, (Z + 1) * (Z - 1) + 1, True * Z, Z + False, -(W * 0)):
+            assert not x.poly or x.poly[-1] != 0, x
+            assert all(type(c) is int for c in (x.wcoef, *x.poly)), x
+        assert (z_pow(2) - z_pow(2)) == ZERO and (Z + 1) * (Z - 1) + 1 == z_pow(2)
 
     def test_big_integers_do_not_overflow(self):
         x = z_pow(40) + W

@@ -4,12 +4,32 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "pin2k"
 
 
-def test_no_assert_statements_in_package():
-    # python -O strips assert statements, so correctness checks must raise
+def nodes(test):
+    """file:line of every node of the package's syntax trees that passes test."""
     modules = sorted(SRC.glob("*.py"))
     assert modules
     found = []
     for path in modules:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if test(node)]
+    return found
+
+
+def test_no_assert_statements_in_package():
+    # python -O strips assert statements, so correctness checks must raise
+    found = nodes(lambda node: isinstance(node, ast.Assert))
+    assert not found, found
+
+
+def imports_dataclasses(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name == "dataclasses" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+
+
+def test_no_dataclasses_import_in_package():
+    # importing dataclasses (and with it inspect) costs every CLI call more
+    # start-up than most commands take to run; value classes derive from
+    # pin2k.Record instead
+    found = nodes(imports_dataclasses)
     assert not found, found
