@@ -170,17 +170,13 @@ def bauer_chain_check(chain):
     """
     if not chain:
         raise MalformedChainError("empty chain")
+    if any(boundary is None for _, boundary in chain[:-1]):
+        raise MalformedChainError("only the final boundary may be omitted")
     s3 = BoundaryData(0, True, "S^3")
-    pieces = []
-    for idx, (form, boundary) in enumerate(chain):
-        if boundary is None:
-            if idx != len(chain) - 1:
-                raise MalformedChainError("only the final boundary may be omitted")
-            boundary = s3
-        pieces.append((form, boundary))
-
     incoming = s3
-    for form, outgoing in pieces:
+    failures = []
+    for form, outgoing in chain:
+        # an inapplicable piece voids the check, so it is reported before any violation
         if not incoming.kg_split:
             return Verdict(
                 Status.INAPPLICABLE,
@@ -188,11 +184,8 @@ def bauer_chain_check(chain):
             )
         if form.q <= 0:
             return Verdict(Status.INAPPLICABLE, f"piece with q = {form.q} has no hyperbolic part")
-        incoming = outgoing
-
-    incoming = s3
-    failures = []
-    for form, outgoing in pieces:
+        if outgoing is None:
+            outgoing = s3
         step = split_bound(incoming.kappa, outgoing.kappa, form.p, form.q, True)
         if step.status is Status.VIOLATED:
             failures.append(step.inequality)
@@ -309,22 +302,13 @@ _FAMILY_REP = {"12n-1": 11, "12n-5": 7, "12n+1": 13, "12n+5": 17}
 def _fillings(manifold):
     """All stored fillings of the given oriented manifold, reversals included."""
     out = []
-    for (sign, family), rows in _FAMILY_FILLINGS.items():
-        if family != manifold.family:
-            continue
-        for p, q, src in rows:
-            if sign == manifold.sign:
-                out.append((p, q, src))
-            else:
-                out.append((-p, q, "reversed " + src))
-    for (sign, m), rows in _SPORADIC_FILLINGS.items():
-        if manifold.m is None or m != manifold.m:
-            continue
-        for p, q, src in rows:
-            if sign == manifold.sign:
-                out.append((p, q, src))
-            else:
-                out.append((-p, q, "reversed " + src))
+    for table, key in ((_FAMILY_FILLINGS, manifold.family), (_SPORADIC_FILLINGS, manifold.m)):
+        for sign in (1, -1):
+            for p, q, src in table.get((sign, key), ()):
+                if sign == manifold.sign:
+                    out.append((p, q, src))
+                else:
+                    out.append((-p, q, "reversed " + src))
     return out
 
 

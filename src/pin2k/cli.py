@@ -90,23 +90,6 @@ def _parse_gens(text):
     return [ring.parse(piece) for piece in items if piece]
 
 
-def _ideal_payload(gens, form):
-    from . import ideals
-
-    try:
-        k = form.k_invariant()
-    except ideals.IdealError:
-        k = None
-    return {
-        "generators": [str(g) for g in gens],
-        "basis": [str(b) for b in form.basis],
-        "e": form.e,
-        "d": form.d,
-        "k": k,
-        "kg_split": form.is_kg_split(),
-    }
-
-
 def _cmd_ideal(args):
     from . import ideals, ring
 
@@ -115,9 +98,19 @@ def _cmd_ideal(args):
     form = ideals.ideal_from_generators(gens)
     if args.action == "k":
         k = form.k_invariant()
-        _emit(args, f"k = {k}", {"generators": [str(g) for g in gens], "k": k})
+        text, payload = f"k = {k}", {"k": k}
     elif args.action == "info":
-        payload = _ideal_payload(gens, form)
+        try:
+            k = form.k_invariant()
+        except ideals.IdealError:
+            k = None
+        payload = {
+            "basis": [str(b) for b in form.basis],
+            "e": form.e,
+            "d": form.d,
+            "k": k,
+            "kg_split": form.is_kg_split(),
+        }
         text = "\n".join(
             [
                 "basis: " + (", ".join(payload["basis"]) or "(0)"),
@@ -127,32 +120,23 @@ def _cmd_ideal(args):
                 f"kg_split = {str(payload['kg_split']).lower()}",
             ]
         )
-        _emit(args, text, payload)
     elif args.action == "contains":
         x = ring.parse(args.element)
         verdict = form.contains(x)
-        _emit(
-            args,
-            "member" if verdict else "not a member",
-            {"generators": [str(g) for g in gens], "element": str(x), "contains": verdict},
-        )
+        text = "member" if verdict else "not a member"
+        payload = {"element": str(x), "contains": verdict}
     elif args.action == "split":
         split = form.is_kg_split()
-        _emit(
-            args,
-            "split" if split else "not split",
-            {"generators": [str(g) for g in gens], "kg_split": split},
-        )
+        text = "split" if split else "not split"
+        payload = {"kg_split": split}
     elif args.action == "zw":
         k = form.zw_exponent(k_max)
-        _emit(args, f"zw exponent = {k}", {"generators": [str(g) for g in gens], "zw_exponent": k})
+        text, payload = f"zw exponent = {k}", {"zw_exponent": k}
     else:  # witness
         k = form.nilpotence_exponent(k_max)
-        _emit(
-            args,
-            f"nilpotence exponent = {k}",
-            {"generators": [str(g) for g in gens], "nilpotence_exponent": k},
-        )
+        text, payload = f"nilpotence exponent = {k}", {"nilpotence_exponent": k}
+    payload["generators"] = [str(g) for g in gens]
+    _emit(args, text, payload)
     return 0
 
 
@@ -170,7 +154,7 @@ def _brieskorn_payload(m, orientation):
     from . import spectra
 
     cls = spectra.brieskorn_class(m, orientation)
-    return cls, {
+    return {
         "brieskorn": [2, 3, m],
         "orientation": orientation,
         "blocks": cls.labels(),
@@ -185,6 +169,8 @@ def _cmd_brieskorn(args):
     if args.action == "table":
         from . import spectra
 
+        if args.max_m > spectra.MAX_M:
+            raise spectra.UnsupportedSeifertDataError(f"--max-m {args.max_m} is over the limit of {spectra.MAX_M}")
         rows = []
         for m in range(7, args.max_m + 1):
             if m % 2 == 0 or m % 3 == 0:
@@ -203,7 +189,7 @@ def _cmd_brieskorn(args):
         return 0
 
     _check_seifert(args.a, args.b)
-    cls, payload = _brieskorn_payload(args.m, args.orient)
+    payload = _brieskorn_payload(args.m, args.orient)
     if args.action == "kappa":
         _emit(args, f"kappa = {payload['kappa']}", payload)
     else:  # class
@@ -452,7 +438,14 @@ def main(argv=None):
     if args.command == "bauer" and args.action == "check" and not args.chain:
         return _usage_error("bauer check requires --chain")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout, which ends the output; point it at devnull
+        # so that the flush at interpreter exit stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (Pin2kError, ValueError) as err:
         message = str(err)
         if message.startswith(_DIGIT_LIMIT_MESSAGE):

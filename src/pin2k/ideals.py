@@ -40,7 +40,7 @@ from bisect import bisect_right
 from math import gcd
 
 from . import Pin2kError, Record
-from .ring import ONE, RingElem, Z, w_pow, z_pow
+from .ring import RingElem, Z, w_pow, z_pow
 
 K_MAX_DEFAULT = 64
 
@@ -251,20 +251,7 @@ def ideal_from_generators(gens):
     # canonical tails: sub-leading coefficients into [0, pivot), w-part mod d
     degrees = sorted(pool)
     for deg in degrees:
-        f = pool[deg]
-        for pos in range(deg - 1, -1, -1):
-            b = f.poly[pos] if pos < len(f.poly) else 0
-            idx = bisect_right(degrees, pos) - 1
-            if idx < 0:
-                continue
-            ep = degrees[idx]
-            c = pool[ep].poly[-1]
-            q = b // c
-            if q:
-                f = f - q * (z_pow(pos - ep) * pool[ep])
-        if d:
-            f = RingElem(f.wcoef % d, f.poly)
-        pool[deg] = f
+        pool[deg] = clamp(pool[deg])
 
     basis = []
     if d:
@@ -284,10 +271,6 @@ def ideal_sum(i, j):
 
 def ideal_product(i, j):
     return ideal_from_generators([a * b for a in i.basis for b in j.basis])
-
-
-def unit_ideal():
-    return ideal_from_generators([ONE])
 
 
 def z_power_ideal(k):

@@ -167,25 +167,30 @@ class RingElem(Record):
                 terms.append((a, _z_monomial(i)))
         if self.wcoef:
             terms.append((self.wcoef, "w"))
-        if not terms:
-            return "0"
-        pieces = []
-        for idx, (a, mono) in enumerate(terms):
-            mag = abs(a)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            if idx == 0:
-                pieces.append(body if a > 0 else "-" + body)
-            else:
-                pieces.append(("+ " if a > 0 else "- ") + body)
-        return " ".join(pieces)
+        return _format_terms(terms)
 
     def __repr__(self):
         return f"RingElem({self})"
+
+
+def _format_terms(terms):
+    """Sum of (coefficient, monomial) terms, coefficients nonzero; "" is the monomial 1."""
+    if not terms:
+        return "0"
+    pieces = []
+    for idx, (a, mono) in enumerate(terms):
+        mag = abs(a)
+        if not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        if idx == 0:
+            pieces.append(body if a > 0 else "-" + body)
+        else:
+            pieces.append(("+ " if a > 0 else "- ") + body)
+    return " ".join(pieces)
 
 
 def _z_monomial(i):
@@ -233,26 +238,6 @@ CTILDE = ONE - W
 H = const(2) - Z
 
 
-def from_ch(ctilde_coef, h_poly):
-    """Element given as ctilde_coef * c~ + Q(h), via c~ = 1 - w, h = 2 - z."""
-    acc = ZERO
-    for c in reversed(tuple(h_poly)):
-        acc = acc * H + const(c)
-    return acc + ctilde_coef * CTILDE
-
-
-def to_ch(x):
-    """Inverse basis change: the unique (mu, Q) with x = mu*c~ + Q(h).
-
-    From x = lam*w + P(z): mu = -lam and Q(u) = P(2 - u) + lam.
-    """
-    comp = ()  # Horner evaluation of P at the polynomial 2 - u
-    for c in reversed(x.poly):
-        comp = _poly_add(_poly_mul(comp, (2, -1)), (c,))
-    q = _poly_add(comp, (x.wcoef,))
-    return -x.wcoef, q
-
-
 class LaurentElem(Record):
     """Finitely supported integer Laurent polynomial in theta."""
 
@@ -280,12 +265,6 @@ class LaurentElem(Record):
             out[e] = out.get(e, 0) + c
         return LaurentElem.make(out)
 
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         out = {}
         for e1, c1 in self.terms:
@@ -298,23 +277,15 @@ class LaurentElem(Record):
         return not self.terms
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for idx, (e, c) in enumerate(self.terms):
-            if e == 0:
-                mono = ""
-            elif e == 1:
-                mono = "theta"
-            else:
-                mono = f"theta^{e}"
-            mag = abs(c)
-            body = mono if (mag == 1 and mono) else (f"{mag}*{mono}" if mono else str(mag))
-            if idx == 0:
-                pieces.append(body if c > 0 else "-" + body)
-            else:
-                pieces.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(pieces)
+        return _format_terms([(c, _theta_monomial(e)) for e, c in self.terms])
+
+
+def _theta_monomial(e):
+    if e == 0:
+        return ""
+    if e == 1:
+        return "theta"
+    return f"theta^{e}"
 
 
 # -- parsing ------------------------------------------------------------------

@@ -136,10 +136,6 @@ def k_of(space: SwfSpace) -> int:
     return ideal_of(space).k_invariant()
 
 
-def is_kg_split_space(space: SwfSpace) -> bool:
-    return ideal_of(space).is_kg_split()
-
-
 REP_CTILDE = "c~"
 REP_H = "h"
 
@@ -169,7 +165,7 @@ class SpectrumClass(Record):
         return 2 * (Fraction(self.k()) - self.n)
 
     def is_floer_kg_split(self):
-        return is_kg_split_space(self.space)
+        return ideal_of(self.space).is_kg_split()
 
     # -- suspension bookkeeping --------------------------------------------------
 
@@ -254,6 +250,12 @@ def psc_kappa(n_correction) -> Fraction:
     return psc_class(n_correction).kappa()
 
 
+# Largest m that brieskorn_class accepts.  A class of Sigma(2,3,m) holds
+# about m/12 free cells, and the reversed orientation at m = 10**6 already
+# takes over a second to build.
+MAX_M = 10**6
+
+
 def brieskorn_family(m):
     """Family key and index for Sigma(2, 3, m): one of 12n-1, 12n-5, 12n+1, 12n+5."""
     if m < 7 or gcd(m, 6) != 1:
@@ -280,6 +282,8 @@ def brieskorn_class(m, orientation="+") -> SpectrumClass:
     """
     if orientation not in ("+", "-"):
         raise UnsupportedSeifertDataError(f"bad orientation {orientation!r}")
+    if m > MAX_M:
+        raise UnsupportedSeifertDataError(f"m = {m} is over the limit of {MAX_M}")
     family, n = brieskorn_family(m)
     if family == "12n-1":
         cls = SpectrumClass(

@@ -7,6 +7,7 @@ from pin2k.bounds import (
     Manifold,
     Status,
     UnknownManifoldError,
+    Verdict,
     bauer_chain_check,
     bohr_lee_bound,
     canonical_bauer_chain,
@@ -129,6 +130,16 @@ class TestBauerChains:
             (IntersectionForm(2, 2), None),
         ]
         assert bauer_chain_check(chain).status is Status.VIOLATED
+
+    def test_inapplicable_piece_outranks_an_earlier_violation(self):
+        violated = (IntersectionForm(9, 1), BoundaryData(0, True, "Y1"))
+        assert bauer_chain_check([violated, (IntersectionForm(2, 0), None)]) == Verdict(
+            Status.INAPPLICABLE, "piece with q = 0 has no hyperbolic part"
+        )
+        chain = [violated, (IntersectionForm(2, 3), BoundaryData(0, False, "Y2")), (IntersectionForm(2, 3), None)]
+        assert bauer_chain_check(chain) == Verdict(Status.INAPPLICABLE, "boundary Y2 is not split")
+        chain[1] = (IntersectionForm(2, 3), BoundaryData(0, True, "Y2"))
+        assert bauer_chain_check(chain) == Verdict(Status.VIOLATED, "0 + 1 >= 0 + 9 + 1")
 
     def test_malformed(self):
         with pytest.raises(MalformedChainError):

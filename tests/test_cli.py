@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from pin2k import cli
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -49,6 +53,21 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "_cmd_ring", crash)
         code, out, err = run(capsys, "ring", "eval", "1")
         assert (code, out, err) == (3, "", "internal error: RuntimeError: boom\n")
+
+    def test_closed_stdout_is_zero(self):
+        # about 220 kB of output, more than a pipe holds, so the writer is
+        # still writing when the reader closes the pipe
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pin2k.cli", "ring", "eval", "(1+z)^1000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.stdout.read(9) == b"1 + 1000*"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
     @pytest.mark.parametrize("action", ["eval", "augment", "wmul"])
     def test_answer_over_the_digit_limit_is_two(self, capsys, action):
@@ -102,6 +121,11 @@ class TestMalformedInput:
             (("bauer", "canonical", "--pieces", "1", "--non-split-boundary", "1"), "(valid: none"),
             (("ring", "eval", "7" * 5000), "integer literal has 5000 digits, over the limit of 4300 at byte 0"),
             (("bauer", "check", "--chain", '[{"p":%s,"q":3}]' % ("7" * 5000)), "more than 4300 digits"),
+            (("brieskorn", "kappa", "2", "3", str(10**23 + 1)), f"m = {10**23 + 1} is over the limit of 1000000"),
+            (("brieskorn", "class", "2", "3", str(10**12 + 1), "--orient", "-"), "over the limit of 1000000"),
+            (("brieskorn", "class", "2", "3", "1000001"), "m = 1000001 is over the limit of 1000000"),
+            (("xi", "show", f"Sigma(2,3,{10**23 + 1})"), "over the limit of 1000000"),
+            (("brieskorn", "table", "--max-m", "1000001"), "--max-m 1000001 is over the limit of 1000000"),
         ],
     )
     def test_one_error_line(self, capsys, argv, message):

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +11,6 @@ from pin2k.ideals import (
     ideal_from_generators,
     ideal_product,
     ideal_sum,
-    unit_ideal,
     z_power_ideal,
 )
 from pin2k.ring import ONE, W, Z, RingElem, parse, w_pow, z_pow
@@ -26,6 +26,8 @@ from oracles import (
 )
 
 AUG = ideal_from_generators([W, Z])
+
+GOLDEN_FORMS = Path(__file__).parent / "golden" / "ideal_forms.txt"
 
 
 def gens_to_elems(raw):
@@ -85,6 +87,33 @@ class TestCanonicalForm:
                     assert (2 * form.d) % form.e == 0
 
 
+def golden_form_inputs():
+    """The 300 seeded generating sets of golden/ideal_forms.txt: degree up to
+    12, every other set shifted by z^s (1 <= s <= 4), coefficients up to 1000
+    in one set of five and up to 1, 3 or 9 otherwise."""
+    rng = random.Random(2024)
+    for i in range(300):
+        s = rng.randint(1, 4) if i % 2 else 0
+        cmax = 1000 if i % 5 == 3 else rng.choice((1, 3, 9))
+        raw = random_generator_set(rng, max_deg=rng.randint(0, 12 - s), cmax=cmax)
+        yield gens_to_elems([shift_raw(g, s) for g in raw])
+
+
+def golden_form_lines():
+    for gens in golden_form_inputs():
+        yield f"{', '.join(map(str, gens)) or '(none)'}\t{ideal_from_generators(gens)!r}"
+
+
+class TestGoldenForms:
+    def test_canonical_forms_match_the_corpus(self):
+        # the completed form is unique, so any correct completion reproduces
+        # the file, which an earlier version of completion wrote
+        expected = [line for line in GOLDEN_FORMS.read_text().splitlines() if not line.startswith("#")]
+        assert len(expected) == 300
+        for i, (got, want) in enumerate(zip(golden_form_lines(), expected)):
+            assert got == want, i
+
+
 class TestMembership:
     def test_examples(self):
         assert AUG.contains(z_pow(3))
@@ -116,7 +145,7 @@ class TestEqualsSumProduct:
 
     def test_sum_examples(self):
         assert ideal_sum(z_power_ideal(1), ideal_from_generators([W])) == AUG
-        assert ideal_sum(AUG, unit_ideal()) == unit_ideal()
+        assert ideal_sum(AUG, z_power_ideal(0)) == z_power_ideal(0)
 
     def test_monomial_products(self):
         for a in range(0, 4):
@@ -127,7 +156,7 @@ class TestEqualsSumProduct:
         rng = random.Random(17)
         for _ in range(100):
             form = ideal_from_generators(gens_to_elems(random_generator_set(rng)))
-            assert ideal_product(form, unit_ideal()) == form
+            assert ideal_product(form, z_power_ideal(0)) == form
             assert ideal_sum(form, ideal_from_generators([])) == form
 
     def test_structural_equality_matches_mutual_containment(self):
@@ -147,7 +176,7 @@ class TestKInvariant:
         for l in range(6):
             assert z_power_ideal(l).k_invariant() == l
         assert AUG.k_invariant() == 1
-        assert unit_ideal().k_invariant() == 0
+        assert z_power_ideal(0).k_invariant() == 0
 
     def test_no_witness(self):
         with pytest.raises(NoWitnessError):
@@ -206,7 +235,7 @@ class TestSplitness:
         assert z_power_ideal(2).is_kg_split()
         assert not AUG.is_kg_split()
         assert not ideal_product(AUG, z_power_ideal(1)).is_kg_split()
-        assert unit_ideal().is_kg_split()
+        assert z_power_ideal(0).is_kg_split()
         assert not ideal_from_generators([]).is_kg_split()
 
     def test_split_implies_zw_exponent_matches_k(self):
@@ -222,7 +251,7 @@ class TestSplitness:
 
 class TestExponents:
     def test_nilpotence_examples(self):
-        assert unit_ideal().nilpotence_exponent() == 0
+        assert z_power_ideal(0).nilpotence_exponent() == 0
         assert AUG.nilpotence_exponent() == 1
         # w^k = 2^(k-1) w lands in (z^3) only once 8 | 2^(k-1)
         assert ideal_from_generators([z_pow(3)]).nilpotence_exponent() == 4
@@ -242,7 +271,7 @@ class TestExponents:
             if k:
                 two_sided = ideal_from_generators([w_pow(k), z_pow(k)])
                 assert two_sided.zw_exponent() == k
-        assert unit_ideal().zw_exponent() == 0
+        assert z_power_ideal(0).zw_exponent() == 0
         assert AUG.zw_exponent() == 1
 
     def test_zw_errors(self):

@@ -15,9 +15,7 @@ from pin2k.ring import (
     ParseError,
     RingElem,
     const,
-    from_ch,
     parse,
-    to_ch,
     w_pow,
     z_pow,
 )
@@ -220,13 +218,3 @@ class TestBasisChange:
 
     def test_spec_product(self):
         assert parse("c~*h") == const(2) - Z
-
-    @given(st.integers(-9, 9), polys)
-    def test_roundtrip(self, mu, q):
-        x = from_ch(mu, q)
-        mu2, q2 = to_ch(x)
-        assert from_ch(mu2, q2) == x
-
-    @given(elems)
-    def test_roundtrip_from_wz(self, x):
-        assert from_ch(*to_ch(x)) == x

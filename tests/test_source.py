@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pin2k"
@@ -33,3 +34,31 @@ def test_no_dataclasses_import_in_package():
     # pin2k.Record instead
     found = nodes(imports_dataclasses)
     assert not found, found
+
+
+def test_every_module_level_def_has_a_caller():
+    # a top-level function or class that nothing in the package names, and
+    # that the package does not export, is dead code
+    import pin2k
+
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+
+    def names(tree):
+        found = Counter()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                found[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                found[node.attr] += 1
+        return found
+
+    used = sum((names(tree) for tree in trees.values()), Counter())
+    uncalled = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("__"):
+                continue
+            # a name used only inside its own definition (recursion) has no caller
+            if used[node.name] == names(node)[node.name] and node.name not in pin2k.__all__:
+                uncalled.append(f"{module}:{node.lineno} {node.name}")
+    assert not uncalled, uncalled

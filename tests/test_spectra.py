@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from pin2k.ideals import ideal_product, unit_ideal, z_power_ideal
+from pin2k.ideals import ideal_product, z_power_ideal
 from pin2k.ring import W, Z
 from pin2k.ideals import ideal_from_generators
 from pin2k.spectra import (
+    MAX_M,
     REP_CTILDE,
     REP_H,
     FreeCell,
@@ -40,12 +41,12 @@ def space(base, *cells):
 class TestBlockIdeals:
     def test_rep_sphere_examples(self):
         assert ideal_of(space(RepSphere(3, 2))) == z_power_ideal(2)
-        assert ideal_of(space(RepSphere(0, 0))) == unit_ideal()
+        assert ideal_of(space(RepSphere(0, 0))) == z_power_ideal(0)
 
     def test_rep_sphere_matches_iterated_suspension(self):
         for t in range(4):
             for l in range(5):
-                expected = unit_ideal()
+                expected = z_power_ideal(0)
                 for _ in range(l):
                     expected = ideal_product(expected, z_power_ideal(1))
                 assert ideal_of(space(RepSphere(t, l))) == expected
@@ -202,6 +203,12 @@ class TestBrieskorn:
                 brieskorn_class(bad, "+")
         with pytest.raises(UnsupportedSeifertDataError):
             brieskorn_class(11, "x")
+
+    def test_m_limit(self):
+        assert brieskorn_kappa(MAX_M - 3, "+") == 0  # 999997 = 12n + 1
+        for orient in ("+", "-"):
+            with pytest.raises(UnsupportedSeifertDataError, match="^m = 1000001 is over the limit of 1000000$"):
+                brieskorn_class(MAX_M + 1, orient)
 
     def test_block_count_grows_with_the_index(self):
         assert brieskorn_class(11, "+").space.free == ()
