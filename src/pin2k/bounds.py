@@ -195,14 +195,21 @@ def bauer_chain_check(chain):
     return Verdict(Status.SATISFIED, "all piecewise bounds hold")
 
 
+# The chain is a list of r pieces: about 0.8 s to build and check at the cap.
+MAX_PIECES = 10**5
+
+
 def canonical_bauer_chain(r, non_split_at=None):
     """The standard decomposition: r - 1 pieces 2(-E8)+3H, one final 2(-E8)+2H.
 
     Interior boundaries get kappa 0 and are split unless non_split_at names
-    one of them (1-based); any other non_split_at raises MalformedChainError.
+    one of them (1-based); any other non_split_at raises MalformedChainError,
+    as does r outside 1..MAX_PIECES.
     """
     if r < 1:
         raise MalformedChainError("need at least one piece")
+    if r > MAX_PIECES:
+        raise MalformedChainError(f"{r} pieces is over the limit of {MAX_PIECES}")
     if non_split_at is not None and not 1 <= non_split_at < r:
         valid = f"1..{r - 1}" if r > 1 else "none, a 1-piece chain has no interior boundary"
         raise MalformedChainError(f"non-split boundary {non_split_at} is out of range (valid: {valid})")

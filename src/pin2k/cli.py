@@ -2,9 +2,10 @@
 
 Exit codes: 0 for satisfied verdicts and successful computations, 1 for a
 violated verdict, 2 for usage or domain errors, 3 for an internal error.
-Every subcommand takes --json; table and JSON output carry the same
-numbers.  The environment variable PIN2K_KMAX overrides the search cap used
-by ideal queries.
+Each (command, action) pair has its own parser, which takes the arguments
+that action reads and --json, after the action; table and JSON output carry
+the same numbers.  The environment variable PIN2K_KMAX overrides the search
+cap used by ideal queries.
 
 Each subcommand imports the layers it runs when it runs, and json only for
 --json or a --chain, so start-up pays for nothing else.
@@ -47,21 +48,17 @@ def _emit(args, table_text, payload):
         print(table_text)
 
 
-def _frac_str(value):
-    from fractions import Fraction
-
-    value = Fraction(value)
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-
-
 def _frac_json(value):
-    from fractions import Fraction
-
-    value = Fraction(value)
-    return int(value) if value.denominator == 1 else _frac_str(value)
+    """A Fraction as JSON: an integer, or the string "a/b"."""
+    return int(value) if value.denominator == 1 else str(value)
 
 
 # -- ring ----------------------------------------------------------------------
+
+# Each command's table maps its actions to the arguments each one reads
+# besides --json, as (name, add_argument options); build_parser declares
+# exactly these.
+_RING = dict.fromkeys(["eval", "augment", "restrict", "wmul"], [("expr", {})])
 
 
 def _cmd_ring(args):
@@ -81,6 +78,10 @@ def _cmd_ring(args):
 
 
 # -- ideal ---------------------------------------------------------------------
+
+_GENS = ("--gens", {"required": True, "help": "comma-separated generator expressions"})
+_IDEAL = dict.fromkeys(["k", "info", "split", "zw", "witness"], [_GENS])
+_IDEAL["contains"] = [_GENS, ("--element", {"required": True, "help": "element expression for membership tests"})]
 
 
 def _parse_gens(text):
@@ -159,18 +160,25 @@ def _brieskorn_payload(m, orientation):
         "orientation": orientation,
         "blocks": cls.labels(),
         "m": cls.m,
-        "n": _frac_str(cls.n),
+        "n": str(cls.n),
         "kappa": _frac_json(cls.kappa()),
         "kg_split": cls.is_floer_kg_split(),
     }
+
+
+# The table costs time quadratic in --max-m: about 3 s at the cap.
+MAX_TABLE_M = 4000
+
+_SEIFERT = [(name, {"type": int}) for name in "abm"] + [("--orient", {"choices": ["+", "-"], "default": "+"})]
+_BRIESKORN = {"kappa": _SEIFERT, "class": _SEIFERT, "table": [("--max-m", {"type": int, "default": 601})]}
 
 
 def _cmd_brieskorn(args):
     if args.action == "table":
         from . import spectra
 
-        if args.max_m > spectra.MAX_M:
-            raise spectra.UnsupportedSeifertDataError(f"--max-m {args.max_m} is over the limit of {spectra.MAX_M}")
+        if args.max_m > MAX_TABLE_M:
+            raise spectra.UnsupportedSeifertDataError(f"--max-m {args.max_m} is over the limit of {MAX_TABLE_M}")
         rows = []
         for m in range(7, args.max_m + 1):
             if m % 2 == 0 or m % 3 == 0:
@@ -217,34 +225,42 @@ def _verdict_result(args, verdict, extra=None):
     return verdict.exit_code()
 
 
+_INT = {"type": int, "default": 0}
+_KAPPAS, _PQ = [("--kappa0", _INT), ("--kappa1", _INT)], [("--p", _INT), ("--q", _INT)]
+_SPLIT_FLAGS = [
+    ("--non-split", {"action": "store_false", "dest": "y0_kg_split"}),
+    ("--refined", {"action": "store_true", "dest": "parity_refined"}),
+]
+_ORBIFOLD_FLAGS = [("--b2plus", {**_INT, "dest": "b2plus_filling"}), ("--mubar", {**_INT, "dest": "mu_bar"})]
+
+# action -> (the pin2k.bounds function it calls, its arguments); the dest of
+# each argument names a parameter of that function, so the parse is the call
+_BOUNDS = {
+    "definite": ("definite_bound", [*_KAPPAS, ("--b2", _INT)]),
+    "relative": ("relative_10_8", _KAPPAS + _PQ),
+    "split": ("split_bound", _KAPPAS + _PQ + _SPLIT_FLAGS),
+    "furuta": ("furuta_closed", _PQ),
+    "conjecture": ("conjecture_11_8", _PQ),
+    "orbifold": ("orbifold_bound", _PQ + _ORBIFOLD_FLAGS),
+    "rokhlin": ("rokhlin_consistency", [*_KAPPAS, _PQ[0]]),
+    "bohr-lee": ("bohr_lee_bound", [("--kappa", _INT)]),
+}
+
+
 def _cmd_bounds(args):
     from . import bounds as fb
 
-    if args.action == "definite":
-        v = fb.definite_bound(args.kappa0, args.kappa1, args.b2)
-    elif args.action == "relative":
-        v = fb.relative_10_8(args.kappa0, args.kappa1, args.p, args.q)
-    elif args.action == "split":
-        v = fb.split_bound(
-            args.kappa0, args.kappa1, args.p, args.q,
-            y0_kg_split=not args.non_split, parity_refined=args.refined,
-        )
-    elif args.action == "furuta":
-        v = fb.furuta_closed(args.p, args.q)
-    elif args.action == "conjecture":
-        v = fb.conjecture_11_8(args.p, args.q)
-    elif args.action == "orbifold":
-        v = fb.orbifold_bound(args.p, args.q, args.b2plus, args.mubar)
-    elif args.action == "rokhlin":
-        v = fb.rokhlin_consistency(args.kappa0, args.kappa1, args.p)
-    else:  # bohr-lee
-        bound = fb.bohr_lee_bound(args.kappa)
-        _emit(args, f"m(-Y)/2 <= {bound}", {"kappa": args.kappa, "bound": bound})
+    params = {key: value for key, value in vars(args).items() if key not in ("command", "action", "json", "func")}
+    result = getattr(fb, _BOUNDS[args.action][0])(**params)
+    if args.action == "bohr-lee":
+        _emit(args, f"m(-Y)/2 <= {result}", {"kappa": args.kappa, "bound": result})
         return 0
-    return _verdict_result(args, v)
+    return _verdict_result(args, result)
 
 
 # -- xi ----------------------------------------------------------------------------
+
+_XI = {"table": [], "show": [("manifold", {"help": 'e.g. "Sigma(2,3,11)", "-Sigma(2,3,12n-5)", "S3"'})]}
 
 
 def _xi_row_payload(row):
@@ -283,6 +299,13 @@ def _cmd_xi(args):
 
 # -- bauer ---------------------------------------------------------------------------
 
+_BAUER = {
+    "canonical": [
+        ("--pieces", {"type": int, "default": 1, "help": "number of pieces in the canonical chain"}),
+        ("--non-split-boundary", {"type": int}),
+    ],
+    "check": [("--chain", {"required": True, "help": "JSON list of {p, q, boundary} entries"})],
+}
 
 _JSON_KINDS = {int: "an integer", bool: "a boolean", str: "a string"}
 
@@ -360,83 +383,54 @@ def _cmd_bauer(args):
 # -- parser ----------------------------------------------------------------------------
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error like every other error: one line, exit code 2."""
+
+    def error(self, message):
+        raise SystemExit(_usage_error(message))
+
+
+def build_parser(argv):
+    """The pin2k parser: one sub-parser per (command, action) that declares
+    the arguments in that command's table and nothing else.  Only the
+    commands named in argv get their action parsers: those are most of the
+    build time.
+    """
+    commands = {  # command -> (help, handler, action -> arguments)
+        "ring": ("representation-ring arithmetic", _cmd_ring, _RING),
+        "ideal": ("ideal canonical forms and invariants", _cmd_ideal, _IDEAL),
+        "brieskorn": ("spectrum classes of Sigma(2,3,m)", _cmd_brieskorn, _BRIESKORN),
+        "bounds": (
+            "intersection-form admissibility checks",
+            _cmd_bounds,
+            {action: arguments for action, (_, arguments) in _BOUNDS.items()},
+        ),
+        "xi": ("bounds on the maximal p - q over spin fillings", _cmd_xi, _XI),
+        "bauer": ("decomposition-chain exclusion checks", _cmd_bauer, _BAUER),
+    }
+    parser = _Parser(
         prog="pin2k",
         description="Exact calculator for Pin(2) representation-ring ideals, "
         "spectrum-class invariants, and spin intersection-form bounds.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    ring_p = sub.add_parser("ring", help="representation-ring arithmetic")
-    ring_p.add_argument("action", choices=["eval", "augment", "restrict", "wmul"])
-    ring_p.add_argument("expr")
-    ring_p.add_argument("--json", action="store_true")
-    ring_p.set_defaults(func=_cmd_ring)
-
-    ideal_p = sub.add_parser("ideal", help="ideal canonical forms and invariants")
-    ideal_p.add_argument("action", choices=["k", "info", "contains", "split", "zw", "witness"])
-    ideal_p.add_argument("--gens", required=True, help="comma-separated generator expressions")
-    ideal_p.add_argument("--element", help="element expression for membership tests")
-    ideal_p.add_argument("--json", action="store_true")
-    ideal_p.set_defaults(func=_cmd_ideal)
-
-    brisk_p = sub.add_parser("brieskorn", help="spectrum classes of Sigma(2,3,m)")
-    brisk_p.add_argument("action", choices=["kappa", "class", "table"])
-    brisk_p.add_argument("a", nargs="?", type=int, default=2)
-    brisk_p.add_argument("b", nargs="?", type=int, default=3)
-    brisk_p.add_argument("m", nargs="?", type=int)
-    brisk_p.add_argument("--orient", choices=["+", "-"], default="+")
-    brisk_p.add_argument("--max-m", type=int, default=601)
-    brisk_p.add_argument("--json", action="store_true")
-    brisk_p.set_defaults(func=_cmd_brieskorn)
-
-    bounds_p = sub.add_parser("bounds", help="intersection-form admissibility checks")
-    bounds_p.add_argument(
-        "action",
-        choices=["definite", "relative", "split", "furuta", "conjecture", "orbifold", "rokhlin", "bohr-lee"],
-    )
-    bounds_p.add_argument("--p", type=int, default=0)
-    bounds_p.add_argument("--q", type=int, default=0)
-    bounds_p.add_argument("--b2", type=int, default=0)
-    bounds_p.add_argument("--kappa0", type=int, default=0)
-    bounds_p.add_argument("--kappa1", type=int, default=0)
-    bounds_p.add_argument("--kappa", type=int, default=0)
-    bounds_p.add_argument("--b2plus", type=int, default=0)
-    bounds_p.add_argument("--mubar", type=int, default=0)
-    bounds_p.add_argument("--refined", action="store_true")
-    bounds_p.add_argument("--non-split", action="store_true")
-    bounds_p.add_argument("--json", action="store_true")
-    bounds_p.set_defaults(func=_cmd_bounds)
-
-    xi_p = sub.add_parser("xi", help="bounds on the maximal p - q over spin fillings")
-    xi_p.add_argument("action", choices=["table", "show"])
-    xi_p.add_argument("manifold", nargs="?", help='e.g. "Sigma(2,3,11)", "-Sigma(2,3,12n-5)", "S3"')
-    xi_p.add_argument("--json", action="store_true")
-    xi_p.set_defaults(func=_cmd_xi)
-
-    bauer_p = sub.add_parser("bauer", help="decomposition-chain exclusion checks")
-    bauer_p.add_argument("action", choices=["canonical", "check"])
-    bauer_p.add_argument("--pieces", type=int, default=1, help="number of pieces in the canonical chain")
-    bauer_p.add_argument("--non-split-boundary", type=int, default=None)
-    bauer_p.add_argument("--chain", help="JSON list of {p, q, boundary} entries")
-    bauer_p.set_defaults(func=_cmd_bauer)
-    bauer_p.add_argument("--json", action="store_true")
-
+    command_ps = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, handler, actions) in commands.items():
+        command_p = command_ps.add_parser(command, help=help_text)
+        command_p.set_defaults(func=handler)
+        if command in argv:
+            action_ps = command_p.add_subparsers(dest="action", required=True)
+            for action, arguments in actions.items():
+                # no abbreviations: orbifold would read --b2 as --b2plus
+                action_p = action_ps.add_parser(action, allow_abbrev=False)
+                for name, options in arguments:
+                    action_p.add_argument(name, **options)
+                action_p.add_argument("--json", action="store_true")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "action", None) == "contains" and not args.element:
-        return _usage_error("ideal contains requires --element")
-    if args.command == "xi" and args.action == "show" and not args.manifold:
-        return _usage_error("xi show requires a manifold argument")
-    if args.command == "brieskorn" and args.action != "table" and args.m is None:
-        return _usage_error("brieskorn kappa/class require three Seifert parameters")
-    if args.command == "bauer" and args.action == "check" and not args.chain:
-        return _usage_error("bauer check requires --chain")
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ from pin2k import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -125,7 +128,10 @@ class TestMalformedInput:
             (("brieskorn", "class", "2", "3", str(10**12 + 1), "--orient", "-"), "over the limit of 1000000"),
             (("brieskorn", "class", "2", "3", "1000001"), "m = 1000001 is over the limit of 1000000"),
             (("xi", "show", f"Sigma(2,3,{10**23 + 1})"), "over the limit of 1000000"),
-            (("brieskorn", "table", "--max-m", "1000001"), "--max-m 1000001 is over the limit of 1000000"),
+            (("brieskorn", "table", "--max-m", "1000001"), "--max-m 1000001 is over the limit of 4000"),
+            (("brieskorn", "table", "--max-m", "4001"), "--max-m 4001 is over the limit of 4000"),
+            (("bauer", "canonical", "--pieces", "100001"), "100001 pieces is over the limit of 100000"),
+            (("bauer", "canonical", "--pieces", str(10**11)), f"{10**11} pieces is over the limit of 100000"),
         ],
     )
     def test_one_error_line(self, capsys, argv, message):
@@ -133,6 +139,129 @@ class TestMalformedInput:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+
+# The flags each bounds action reads: the inputs of the check it runs.
+BOUNDS_READS = {
+    "definite": ["--kappa0", "--kappa1", "--b2"],
+    "relative": ["--kappa0", "--kappa1", "--p", "--q"],
+    "split": ["--kappa0", "--kappa1", "--p", "--q", "--refined", "--non-split"],
+    "furuta": ["--p", "--q"],
+    "conjecture": ["--p", "--q"],
+    "orbifold": ["--p", "--q", "--b2plus", "--mubar"],
+    "rokhlin": ["--kappa0", "--kappa1", "--p"],
+    "bohr-lee": ["--kappa"],
+}
+BOUNDS_FLAGS = {"--p": ("1",), "--q": ("3",), "--b2": ("8",), "--kappa0": ("0",), "--kappa1": ("0",)}
+BOUNDS_FLAGS.update({"--kappa": ("2",), "--b2plus": ("1",), "--mubar": ("2",), "--refined": (), "--non-split": ()})
+CHAIN = '[{"p":2,"q":3}]'
+
+# (command, action) -> (a valid call, arguments it does not read).  The
+# unread arguments are those that the command accepted for another of its
+# actions; the ring actions, ideal contains and xi show read all of theirs,
+# so they get another command's flag.
+ACTIONS = {
+    **{("ring", a): ((a, "1 + z"), [("--gens", "w")]) for a in ("eval", "augment", "restrict", "wmul")},
+    **{("ideal", a): ((a, "--gens", "w,z"), [("--element", "w")]) for a in ("k", "info", "split", "zw", "witness")},
+    ("ideal", "contains"): (("contains", "--gens", "w,z", "--element", "w"), [("--max-m", "7")]),
+    ("brieskorn", "kappa"): (("kappa", "2", "3", "11"), [("--max-m", "40")]),
+    ("brieskorn", "class"): (("class", "2", "3", "11"), [("--max-m", "40")]),
+    ("brieskorn", "table"): (("table", "--max-m", "40"), [("--orient", "-"), ("2", "3", "11")]),
+    **{
+        ("bounds", a): (
+            (a, *(arg for flag in reads for arg in (flag, *BOUNDS_FLAGS[flag]))),
+            [(flag, *value) for flag, value in BOUNDS_FLAGS.items() if flag not in reads],
+        )
+        for a, reads in BOUNDS_READS.items()
+    },
+    ("xi", "table"): (("table",), [("S3",)]),
+    ("xi", "show"): (("show", "S3"), [("--pieces", "2")]),
+    ("bauer", "canonical"): (("canonical", "--pieces", "3", "--non-split-boundary", "1"), [("--chain", CHAIN)]),
+    ("bauer", "check"): (("check", "--chain", CHAIN), [("--pieces", "2"), ("--non-split-boundary", "1")]),
+}
+
+
+def usage_error(capsys, *argv):
+    """stdout and stderr of a call that argparse rejects, after checking its exit code."""
+    with pytest.raises(SystemExit) as info:
+        cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert info.value.code == 2, (argv, out, err)
+    return out, err
+
+
+class TestUsage:
+    """Each action parses exactly the arguments it reads; argparse's errors
+    follow the same one-line contract as every other error."""
+
+    @pytest.mark.parametrize("command,action", list(ACTIONS))
+    def test_unread_argument_is_an_error(self, capsys, command, action):
+        valid, unread = ACTIONS[command, action]
+        code, out, err = run(capsys, command, *valid)
+        assert code in (0, 1) and out and err == ""
+        for extra in unread:
+            out, err = usage_error(capsys, command, *valid, *extra)
+            assert out == "" and err == f"error: unrecognized arguments: {' '.join(extra)}\n"
+
+    def test_unread_cases_cover_every_action(self, capsys):
+        # an unknown action is refused with the list of the command's actions
+        commands = sorted({command for command, _ in ACTIONS})
+        for command in commands:
+            _, err = usage_error(capsys, command, "no-such-action")
+            listed = re.findall(r"'([^']+)'", err.partition("choose from")[2])
+            assert sorted(listed) == sorted(a for c, a in ACTIONS if c == command)
+        _, err = usage_error(capsys, "no-such-command")
+        assert sorted(re.findall(r"'([^']+)'", err.partition("choose from")[2])) == commands
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ((), "the following arguments are required: command"),
+            (("ring",), "the following arguments are required: action"),
+            (("ideal", "contains", "--gens", "z"), "the following arguments are required: --element"),
+            (("brieskorn", "kappa", "2", "3"), "the following arguments are required: m"),
+            (("bounds", "furuta", "--p", "x"), "argument --p: invalid int value: 'x'"),
+            (("brieskorn", "kappa", "2", "3", "eleven"), "argument m: invalid int value: 'eleven'"),
+            (("bauer", "canonical", "--pieces"), "argument --pieces: expected one argument"),
+            (("brieskorn", "kappa", "2", "3", "11", "--orient", "x"), "argument --orient: invalid choice: 'x'"),
+            (("ring", "bogus", "1"), "argument action: invalid choice: 'bogus'"),
+            (("bogus",), "argument command: invalid choice: 'bogus'"),
+            (("ring", "--json", "eval", "1"), "unrecognized arguments: --json"),
+            (("xi", "show", "S3", "extra"), "unrecognized arguments: extra"),
+        ],
+    )
+    def test_argparse_error_is_one_line(self, capsys, argv, message):
+        out, err = usage_error(capsys, *argv)
+        assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [(), *sorted({(command,) for command, _ in ACTIONS}), *ACTIONS],
+        ids=lambda argv: " ".join(argv) or "pin2k",
+    )
+    def test_help(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, "--help"])
+        out, err = capsys.readouterr()
+        assert info.value.code == 0 and err == ""
+        assert out.startswith(" ".join(["usage: pin2k", *argv]))
+
+
+def readme_commands():
+    """The pin2k lines of README's sh blocks."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"), re.S | re.M)
+    return [line for block in blocks for line in block.splitlines() if line.startswith("pin2k ")]
+
+
+def test_readme_has_cli_examples():
+    assert len(readme_commands()) >= 10
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_example(capsys, line):
+    # exit 1 only where the example's comment says so
+    code, out, err = run(capsys, *shlex.split(line, comments=True)[1:])
+    assert (code, err) == (1 if "exit 1" in line else 0, "") and out
 
 
 class TestRing:
