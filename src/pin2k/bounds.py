@@ -302,10 +302,6 @@ _ORBIFOLD_UPPER = {
     (-1, "12n+5"): -2,
 }
 
-# Smallest member of each family, used to evaluate the index-independent kappa.
-_FAMILY_REP = {"12n-1": 11, "12n-5": 7, "12n+1": 13, "12n+5": 17}
-
-
 def _fillings(manifold):
     """All stored fillings of the given oriented manifold, reversals included."""
     out = []
@@ -320,12 +316,14 @@ def _fillings(manifold):
 
 
 def manifold_kappa(manifold):
-    from .spectra import brieskorn_class, s3_class
+    from .spectra import brieskorn_kappa, family_kappa, s3_class
 
     if manifold.family == "S3":
         return s3_class().kappa()
-    m = manifold.m if manifold.m is not None else _FAMILY_REP[manifold.family]
-    return brieskorn_class(m, "+" if manifold.sign > 0 else "-").kappa()
+    orientation = "+" if manifold.sign > 0 else "-"
+    if manifold.m is None:
+        return family_kappa(manifold.family, orientation)
+    return brieskorn_kappa(manifold.m, orientation)
 
 
 class XiBounds(Record):

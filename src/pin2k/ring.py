@@ -363,7 +363,8 @@ class _Tokens:
     def expect(self, kind):
         tok = self.next()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", self.text, tok[2])
+            found = "end of input" if tok[0] == "end" else repr(tok[1])
+            raise ParseError(f"expected {kind!r}, found {found}", self.text, tok[2])
         return tok
 
 
@@ -424,4 +425,6 @@ def _parse_atom(toks):
         toks.expect(")")
         toks.depth -= 1
         return value
+    if kind == "end":
+        raise ParseError("unexpected end of input", toks.text, pos)
     raise ParseError(f"unexpected token {val!r}", toks.text, pos)

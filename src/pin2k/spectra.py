@@ -24,6 +24,7 @@ free space), which is what makes the duality bookkeeping below work.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from . import Pin2kError, Record
@@ -272,6 +273,15 @@ def brieskorn_family(m):
     raise UnsupportedSeifertDataError(f"unsupported Seifert data (2, 3, {m})")
 
 
+def _checked_family(m, orientation):
+    """brieskorn_family(m) once the orientation and the MAX_M cap are checked."""
+    if orientation not in ("+", "-"):
+        raise UnsupportedSeifertDataError(f"bad orientation {orientation!r}")
+    if m > MAX_M:
+        raise UnsupportedSeifertDataError(f"m = {m} is over the limit of {MAX_M}")
+    return brieskorn_family(m)
+
+
 def brieskorn_class(m, orientation="+") -> SpectrumClass:
     """Spectrum class of Sigma(2, 3, m) with the chosen orientation.
 
@@ -280,11 +290,7 @@ def brieskorn_class(m, orientation="+") -> SpectrumClass:
     with trivial base are stored in their quaternion-suspended form; use
     normalize() for the representative with negative cell degrees.
     """
-    if orientation not in ("+", "-"):
-        raise UnsupportedSeifertDataError(f"bad orientation {orientation!r}")
-    if m > MAX_M:
-        raise UnsupportedSeifertDataError(f"m = {m} is over the limit of {MAX_M}")
-    family, n = brieskorn_family(m)
+    family, n = _checked_family(m, orientation)
     if family == "12n-1":
         cls = SpectrumClass(
             SwfSpace(GroupSuspension(), (FreeCell(1),) * (n - 1)), 0, Fraction(0)
@@ -300,5 +306,18 @@ def brieskorn_class(m, orientation="+") -> SpectrumClass:
     return cls if orientation == "+" else cls.dual()
 
 
+# Smallest member of each family.  kappa = 2(k(base) - n) reads only the base
+# block and n, which brieskorn_class fixes per family and orientation (dual()
+# maps both without reading the free cells), so kappa is constant on a family.
+_FAMILY_REP = {"12n-1": 11, "12n-5": 7, "12n+1": 13, "12n+5": 17}
+
+
+@lru_cache(maxsize=8)
+def family_kappa(family, orientation) -> Fraction:
+    """kappa of every Sigma(2, 3, m) in the family, with the chosen orientation."""
+    return brieskorn_class(_FAMILY_REP[family], orientation).kappa()
+
+
 def brieskorn_kappa(m, orientation="+") -> Fraction:
-    return brieskorn_class(m, orientation).kappa()
+    family, _ = _checked_family(m, orientation)
+    return family_kappa(family, orientation)

@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -128,10 +129,14 @@ class TestMalformedInput:
             (("brieskorn", "class", "2", "3", str(10**12 + 1), "--orient", "-"), "over the limit of 1000000"),
             (("brieskorn", "class", "2", "3", "1000001"), "m = 1000001 is over the limit of 1000000"),
             (("xi", "show", f"Sigma(2,3,{10**23 + 1})"), "over the limit of 1000000"),
-            (("brieskorn", "table", "--max-m", "1000001"), "--max-m 1000001 is over the limit of 4000"),
-            (("brieskorn", "table", "--max-m", "4001"), "--max-m 4001 is over the limit of 4000"),
+            (("brieskorn", "table", "--max-m", "1000001"), "--max-m 1000001 is over the limit of 100000"),
+            (("brieskorn", "table", "--max-m", "100001"), "--max-m 100001 is over the limit of 100000"),
             (("bauer", "canonical", "--pieces", "100001"), "100001 pieces is over the limit of 100000"),
             (("bauer", "canonical", "--pieces", str(10**11)), f"{10**11} pieces is over the limit of 100000"),
+            (("ring", "eval", ""), "error: unexpected end of input at byte 0\n"),
+            (("ring", "eval", "1+"), "error: unexpected end of input at byte 2\n"),
+            (("ring", "eval", "(1"), "error: expected ')', found end of input at byte 2\n"),
+            (("ring", "eval", "2^"), "error: expected 'int', found end of input at byte 2\n"),
         ],
     )
     def test_one_error_line(self, capsys, argv, message):
@@ -339,6 +344,20 @@ class TestBrieskorn:
         values = {(r["m"], r["orientation"]): r["kappa"] for r in payload["rows"]}
         assert values[(11, "+")] == 2 and values[(11, "-")] == 0
         assert values[(37, "+")] == 0 and values[(31, "-")] == 1
+
+    def test_table_reads_kappa_off_the_family(self, capsys):
+        # kappa depends only on m mod 12 and the orientation; building a
+        # class per m made this call take about 1.6 s
+        family_kappa = {11: ("2", "0"), 7: ("1", "1"), 1: ("0", "0"), 5: ("1", "-1")}
+        start = time.perf_counter()
+        code = cli.main(["brieskorn", "table", "--max-m", "4000"])
+        elapsed = time.perf_counter() - start
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0 and len(lines) == 2 * len([m for m in range(7, 4001) if m % 2 and m % 3])
+        for line in lines:
+            sign, m, kappa = re.fullmatch(r"kappa\((-?)Sigma\(2,3,(\d+)\)\) = (-?\d+)", line).groups()
+            assert kappa == family_kappa[int(m) % 12][1 if sign else 0], line
+        assert elapsed < 1.0, f"brieskorn table --max-m 4000 took {elapsed:.2f}s"
 
     def test_output_reparses_as_input(self, capsys):
         _, payload = run_json(capsys, "brieskorn", "class", "2", "3", "23", "--orient", "-")

@@ -197,18 +197,30 @@ class TestBrieskorn:
             b = brieskorn_kappa(m, "-")
             assert (a - b) % 2 == 0
 
+    def test_kappa_is_read_off_the_family(self):
+        # brieskorn_kappa evaluates one member per family; this is the
+        # invariance that shortcut rests on
+        for m in range(7, 4001):
+            if m % 2 and m % 3:
+                for orient in "+-":
+                    assert brieskorn_kappa(m, orient) == brieskorn_class(m, orient).kappa(), (m, orient)
+
     def test_unsupported_inputs(self):
-        for bad in (5, 1, 9, 15, 4, -7):
-            with pytest.raises(UnsupportedSeifertDataError):
-                brieskorn_class(bad, "+")
-        with pytest.raises(UnsupportedSeifertDataError):
-            brieskorn_class(11, "x")
+        for function in (brieskorn_class, brieskorn_kappa):
+            for bad in (5, 1, 9, 15, 4, -7):
+                with pytest.raises(UnsupportedSeifertDataError, match=rf"^unsupported Seifert data \(2, 3, {bad}\)$"):
+                    function(bad, "+")
+            with pytest.raises(UnsupportedSeifertDataError, match="^bad orientation 'x'$"):
+                function(11, "x")
+            with pytest.raises(UnsupportedSeifertDataError, match="^bad orientation 'x'$"):
+                function(9, "x")  # the orientation is checked first
 
     def test_m_limit(self):
         assert brieskorn_kappa(MAX_M - 3, "+") == 0  # 999997 = 12n + 1
-        for orient in ("+", "-"):
-            with pytest.raises(UnsupportedSeifertDataError, match="^m = 1000001 is over the limit of 1000000$"):
-                brieskorn_class(MAX_M + 1, orient)
+        for function in (brieskorn_class, brieskorn_kappa):
+            for orient in ("+", "-"):
+                with pytest.raises(UnsupportedSeifertDataError, match="^m = 1000001 is over the limit of 1000000$"):
+                    function(MAX_M + 1, orient)
 
     def test_block_count_grows_with_the_index(self):
         assert brieskorn_class(11, "+").space.free == ()
