@@ -174,9 +174,9 @@ _BRIESKORN = {"kappa": _SEIFERT, "class": _SEIFERT, "table": [("--max-m", {"type
 
 
 def _cmd_brieskorn(args):
-    if args.action == "table":
-        from . import spectra
+    from . import spectra
 
+    if args.action == "table":
         if args.max_m > MAX_TABLE_M:
             raise spectra.UnsupportedSeifertDataError(f"--max-m {args.max_m} is over the limit of {MAX_TABLE_M}")
         rows = []
@@ -197,10 +197,13 @@ def _cmd_brieskorn(args):
         return 0
 
     _check_seifert(args.a, args.b)
-    payload = _brieskorn_payload(args.m, args.orient)
     if args.action == "kappa":
-        _emit(args, f"kappa = {payload['kappa']}", payload)
+        # kappa is constant on the family of m; only the JSON, which lists the
+        # blocks, needs the class of m
+        kappa = spectra.brieskorn_kappa(args.m, args.orient)
+        _emit(args, f"kappa = {_frac_json(kappa)}", _brieskorn_payload(args.m, args.orient) if args.json else None)
     else:  # class
+        payload = _brieskorn_payload(args.m, args.orient)
         text = "\n".join(
             [
                 "blocks: " + " v ".join(payload["blocks"]),

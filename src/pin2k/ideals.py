@@ -274,4 +274,7 @@ def ideal_product(i, j):
 
 
 def z_power_ideal(k):
-    return ideal_from_generators([z_pow(k)])
+    """(z^k) in closed form: w*z^k = 2^k*w, so its form is (2^k*w, z^k) with e = d = 2^k."""
+    zk = z_pow(k)  # rejects k < 0 with the ring's message, before the shift can
+    d = 1 << k
+    return IdealForm((RingElem(d, ()), zk), d, d)

@@ -28,8 +28,8 @@ from functools import lru_cache
 from math import gcd
 
 from . import Pin2kError, Record
-from .ideals import IdealForm, ideal_from_generators, ideal_product
-from .ring import W, Z, z_pow
+from .ideals import IdealForm, ideal_from_generators, ideal_product, z_power_ideal
+from .ring import W, Z
 
 
 class SpectraError(Pin2kError):
@@ -124,12 +124,17 @@ class SwfSpace(Record):
 
 def ideal_of(space: SwfSpace) -> IdealForm:
     """Restriction-image ideal of the space; free cells never contribute."""
-    base = space.base
+    return _block_ideal(space.base)
+
+
+@lru_cache(maxsize=64)
+def _block_ideal(base):
+    """Ideal of one base block, built once per process; callers share the immutable form."""
     if isinstance(base, RepSphere):
-        return ideal_from_generators([z_pow(base.l)])
+        return z_power_ideal(base.l)
     aug = ideal_from_generators([W, Z])
     if base.l:
-        return ideal_product(aug, ideal_from_generators([z_pow(base.l)]))
+        return ideal_product(aug, z_power_ideal(base.l))
     return aug
 
 

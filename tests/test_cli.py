@@ -359,6 +359,15 @@ class TestBrieskorn:
             assert kappa == family_kappa[int(m) % 12][1 if sign else 0], line
         assert elapsed < 1.0, f"brieskorn table --max-m 4000 took {elapsed:.2f}s"
 
+    def test_kappa_text_reads_kappa_off_the_family(self, capsys):
+        # the text prints only kappa; building the class of m and its dual
+        # made this call take about 1.6 s
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "brieskorn", "kappa", "2", "3", "999997", "--orient", "-")
+        elapsed = time.perf_counter() - start
+        assert code == 0 and out == "kappa = 0\n"
+        assert elapsed < 0.5, f"brieskorn kappa 2 3 999997 --orient - took {elapsed:.2f}s"
+
     def test_output_reparses_as_input(self, capsys):
         _, payload = run_json(capsys, "brieskorn", "class", "2", "3", "23", "--orient", "-")
         a, b, m = payload["brieskorn"]

@@ -51,6 +51,13 @@ class TestCanonicalForm:
         assert [str(b) for b in form.basis] == ["4*w", "4", "2*z", "z^2"]
         assert (form.e, form.d) == (4, 4)
 
+    def test_z_power_ideal_matches_completion(self):
+        # z_power_ideal writes (z^k) down in closed form, without completing it
+        for k in range(65):
+            assert z_power_ideal(k) == ideal_from_generators([z_pow(k)]), k
+        with pytest.raises(ValueError, match="^z exponent must be nonnegative$"):
+            z_power_ideal(-1)
+
     def test_generator_order_is_irrelevant(self):
         a = ideal_from_generators([W, Z])
         b = ideal_from_generators([Z, W])

@@ -36,6 +36,27 @@ def test_no_dataclasses_import_in_package():
     assert not found, found
 
 
+def unbounded_cache(node):
+    if isinstance(node, ast.ImportFrom) and node.module == "functools":
+        return any(alias.name == "cache" for alias in node.names)
+    if isinstance(node, ast.Attribute):
+        return node.attr == "cache" and isinstance(node.value, ast.Name) and node.value.id == "functools"
+    if isinstance(node, ast.Call):
+        func = node.func
+        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != "lru_cache":
+            return False
+        sizes = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "maxsize"]
+        return any(isinstance(size, ast.Constant) and size.value is None for size in sizes)
+    return False
+
+
+def test_every_cache_is_bounded():
+    # functools.cache and lru_cache(maxsize=None) keep every key and result
+    # for the life of the process, so memory would grow with the inputs seen
+    found = nodes(unbounded_cache)
+    assert not found, found
+
+
 def test_every_module_level_def_has_a_caller():
     # a top-level function or class that nothing in the package names, and
     # that the package does not export, is dead code

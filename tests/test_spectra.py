@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from pin2k import ideals, spectra
 from pin2k.ideals import ideal_product, z_power_ideal
-from pin2k.ring import W, Z
+from pin2k.ring import ONE, W, Z, z_pow
 from pin2k.ideals import ideal_from_generators
 from pin2k.spectra import (
     MAX_M,
@@ -44,13 +45,23 @@ class TestBlockIdeals:
         assert ideal_of(space(RepSphere(0, 0))) == z_power_ideal(0)
 
     def test_rep_sphere_matches_iterated_suspension(self):
-        for t in range(4):
+        # references by completion alone: ideal_of reads (z^l) off
+        # z_power_ideal's closed form
+        for t in range(5):
             for l in range(5):
-                expected = z_power_ideal(0)
+                expected = ideal_from_generators([ONE])
                 for _ in range(l):
-                    expected = ideal_product(expected, z_power_ideal(1))
+                    expected = ideal_product(expected, ideal_from_generators([Z]))
                 assert ideal_of(space(RepSphere(t, l))) == expected
                 assert k_of(space(RepSphere(t, l))) == l
+
+    def test_suspension_blocks_match_completion(self):
+        for t in range(5):
+            for l in range(5):
+                expected = ideal_product(AUG, ideal_from_generators([z_pow(l)]))
+                for base in (GroupSuspension(t, l), TorusSuspension(t, l)):
+                    assert ideal_of(space(base)) == expected, base
+                    assert k_of(space(base)) == l + 1, base
 
     def test_unreduced_suspensions(self):
         assert ideal_of(space(GroupSuspension())) == AUG
@@ -60,7 +71,7 @@ class TestBlockIdeals:
 
     def test_suspended_group_block(self):
         suspended = ideal_of(space(GroupSuspension(0, 1)))
-        assert suspended == ideal_product(AUG, z_power_ideal(1))
+        assert suspended == ideal_product(AUG, ideal_from_generators([Z]))
         assert suspended.k_invariant() == 2
 
     def test_free_cells_are_invisible(self):
@@ -204,6 +215,30 @@ class TestBrieskorn:
             if m % 2 and m % 3:
                 for orient in "+-":
                     assert brieskorn_kappa(m, orient) == brieskorn_class(m, orient).kappa(), (m, orient)
+
+    def test_classes_run_no_completion(self, monkeypatch):
+        # kappa and splitness read each base block's ideal from a cache and
+        # compare it with (z^k) in closed form, so once each family and
+        # orientation has been seen no class completes an ideal again
+        calls = []
+
+        def counted(gens):
+            calls.append(gens)
+            return ideal_from_generators(gens)
+
+        monkeypatch.setattr(ideals, "ideal_from_generators", counted)
+        monkeypatch.setattr(spectra, "ideal_from_generators", counted)
+        for m in (7, 11, 13, 17):
+            for orient in "+-":
+                brieskorn_class(m, orient).is_floer_kg_split()
+        calls.clear()
+        for m in range(7, 602):
+            if m % 2 and m % 3:
+                for orient in "+-":
+                    cls = brieskorn_class(m, orient)
+                    cls.kappa()
+                    cls.is_floer_kg_split()
+        assert calls == []
 
     def test_unsupported_inputs(self):
         for function in (brieskorn_class, brieskorn_kappa):
