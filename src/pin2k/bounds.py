@@ -246,11 +246,9 @@ class Manifold(Record):
 
 _MANIFOLD_RE = re.compile(r"^(-?)Sigma\(2,\s*3,\s*([0-9n+-]+)\)$")
 
-_FAMILIES = ("12n-1", "12n-5", "12n+1", "12n+5")
-
 
 def parse_manifold(text):
-    from .spectra import UnsupportedSeifertDataError, brieskorn_family
+    from .spectra import FAMILIES, UnsupportedSeifertDataError, brieskorn_family
 
     text = text.strip()
     if text in ("S3", "S^3"):
@@ -260,7 +258,7 @@ def parse_manifold(text):
         raise UnknownManifoldError(f"cannot parse manifold {text!r}")
     sign = -1 if match.group(1) else 1
     body = match.group(2)
-    if body in _FAMILIES:
+    if body in FAMILIES:
         return Manifold(sign, body, None)
     try:
         m = int(body)
@@ -345,17 +343,18 @@ class XiBounds(Record):
 
 def xi_bounds(manifold) -> XiBounds:
     """Best stored/computed bounds on xi = max(p - q) over spin fillings."""
+    from .spectra import FAMILIES
+
     if isinstance(manifold, str):
         manifold = parse_manifold(manifold)
-    if manifold.family != "S3" and manifold.family not in _FAMILIES:
+    if manifold.family != "S3" and manifold.family not in FAMILIES:
         raise UnknownManifoldError(f"unsupported manifold {manifold!r}")
 
-    own = _fillings(manifold)
-    reverse = _fillings(Manifold(-manifold.sign, manifold.family, manifold.m))
-
-    lowers = [p - q for p, q, _ in own if q > 0]
+    fillings = _fillings(manifold)
+    lowers = [p - q for p, q, _ in fillings if q > 0]
     lower = max(lowers) if lowers else None
-    up_fill = min((q - p - 1 for p, q, _ in reverse), default=None)
+    # reversed, a filling (p, q) of Y is a filling (-p, q) of -Y, which caps Y
+    up_fill = min((q + p - 1 for p, q, _ in fillings), default=None)
     up_orb = _ORBIFOLD_UPPER.get((manifold.sign, manifold.family))
     kappa = manifold_kappa(manifold)
     if kappa.denominator != 1:

@@ -5,7 +5,7 @@ violated verdict, 2 for usage or domain errors, 3 for an internal error.
 Each (command, action) pair has its own parser, which takes the arguments
 that action reads and --json, after the action; table and JSON output carry
 the same numbers.  The environment variable PIN2K_KMAX overrides the search
-cap used by ideal queries.
+cap used by ideal queries, up to MAX_KMAX.
 
 Each subcommand imports the layers it runs when it runs, and json only for
 --json or a --chain, so start-up pays for nothing else.
@@ -20,13 +20,21 @@ import sys
 from . import Pin2kError
 
 
+# The capped searches grow about cubically with the cap: `ideal witness --gens
+# "z+2"` takes about 2 s at this cap.
+MAX_KMAX = 256
+
+
 def _k_max():
     from .ideals import K_MAX_DEFAULT
 
     try:
-        return int(os.environ.get("PIN2K_KMAX", K_MAX_DEFAULT))
+        k_max = int(os.environ.get("PIN2K_KMAX", K_MAX_DEFAULT))
     except ValueError:
         raise SystemExit(_usage_error("PIN2K_KMAX must be an integer"))
+    if k_max > MAX_KMAX:
+        raise SystemExit(_usage_error(f"PIN2K_KMAX = {k_max} is over the limit of {MAX_KMAX}"))
+    return k_max
 
 
 # How CPython's ValueError for an int/str conversion over

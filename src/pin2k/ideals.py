@@ -8,9 +8,10 @@ admits a Hermite-style completed basis:
 
   * at most one basis element per polynomial degree, with positive leading
     coefficient; same-degree elements are merged by extended-gcd steps;
-  * the z-shift of every kept element and the w-image w_multiplier(x)*w of
-    every generator are folded back in;
+  * the z-shift of every kept element is folded back in;
   * a single pure-w element d*w records the subgroup {lam : lam*w in I}.
+    Every w-image w*x = w_multiplier(x)*w of a member is a multiple of e*w,
+    and e*w lies in I, so d starts at e and the w-action needs no closing.
 
 Completion terminates: gcd merges never raise the polynomial degree, shifts
 are only taken below the maximal generator degree, and the leading
@@ -185,10 +186,9 @@ def ideal_from_generators(gens):
         e = gcd(e, g.w_multiplier())
 
     pool = {}  # polynomial degree -> element with that degree, leading coeff > 0
-    d = 0
+    d = e  # e*w = w*x for some x in I
     max_deg = max((g.degree for g in gens if g.poly), default=-1)
     work = list(gens)
-    work.extend(RingElem(g.w_multiplier(), ()) for g in gens)  # w-action closure
 
     def clamp(x):
         # keep sub-leading coefficients below the current pivots; without this
@@ -208,11 +208,10 @@ def ideal_from_generators(gens):
         return x
 
     def assigned(f):
-        # closing under the z-shift (bounded by max_deg) and the w-action;
-        # z acting on pure-w elements only doubles them, so d absorbs it
+        # closing under the z-shift, bounded by max_deg; the w-image of f and
+        # z acting on pure-w elements both give multiples of d*w already
         if f.degree < max_deg:
             work.append(Z * f)
-        work.append(RingElem(f.w_multiplier(), ()))
 
     while work:
         x = work.pop()
@@ -241,17 +240,16 @@ def ideal_from_generators(gens):
         if x.wcoef:
             d = gcd(d, abs(x.wcoef))
 
-    # prune pivots that reduce to zero by shifts of lower ones, top down
-    for deg in sorted(pool, reverse=True):
-        rest = {k: v for k, v in pool.items() if k != deg}
-        degrees = sorted(rest)
-        if _reduce(pool[deg], degrees, rest, d).is_zero():
+    # ascending: drop each pivot that shifts of lower ones reduce to zero, and
+    # give the others canonical tails (sub-leading coefficients in [0, pivot),
+    # w-part mod d) against the lower pivots kept
+    for deg in sorted(pool):
+        lower = {k: v for k, v in pool.items() if k < deg}
+        if _reduce(pool[deg], sorted(lower), lower, d).is_zero():
             del pool[deg]
-
-    # canonical tails: sub-leading coefficients into [0, pivot), w-part mod d
+        else:
+            pool[deg] = clamp(pool[deg])
     degrees = sorted(pool)
-    for deg in degrees:
-        pool[deg] = clamp(pool[deg])
 
     basis = []
     if d:

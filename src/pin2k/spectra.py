@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from . import Pin2kError, Record
 from .ideals import IdealForm, ideal_from_generators, ideal_product, z_power_ideal
@@ -161,9 +160,6 @@ class SpectrumClass(Record):
 
     # -- invariants ------------------------------------------------------------
 
-    def ideal(self):
-        return ideal_of(self.space)
-
     def k(self):
         return k_of(self.space)
 
@@ -262,20 +258,26 @@ def psc_kappa(n_correction) -> Fraction:
 MAX_M = 10**6
 
 
+# The four families of Sigma(2, 3, m), gcd(m, 6) = 1, m >= 7: family -> (its
+# smallest member, the base block and n of the "+" class, the degree of its free
+# cells, and how many free cells it has beyond the family index).
+FAMILIES = {
+    "12n-1": (11, GroupSuspension(), Fraction(0), 1, -1),
+    "12n-5": (7, GroupSuspension(), Fraction(1, 2), 1, -1),
+    "12n+1": (13, RepSphere(0, 1), Fraction(1), 3, 0),
+    "12n+5": (17, RepSphere(0, 1), Fraction(1, 2), 3, 0),
+}
+
+
+_FAMILY_OF_RESIDUE = {row[0] % 12: family for family, row in FAMILIES.items()}
+
+
 def brieskorn_family(m):
-    """Family key and index for Sigma(2, 3, m): one of 12n-1, 12n-5, 12n+1, 12n+5."""
-    if m < 7 or gcd(m, 6) != 1:
+    """Family key and index n for Sigma(2, 3, m): m is one of 12n-1, 12n-5, 12n+1, 12n+5."""
+    family = _FAMILY_OF_RESIDUE.get(m % 12)
+    if family is None or m < FAMILIES[family][0]:
         raise UnsupportedSeifertDataError(f"unsupported Seifert data (2, 3, {m})")
-    r = m % 12
-    if r == 11:
-        return "12n-1", (m + 1) // 12
-    if r == 7:
-        return "12n-5", (m + 5) // 12
-    if r == 1:
-        return "12n+1", (m - 1) // 12
-    if r == 5:
-        return "12n+5", (m - 5) // 12
-    raise UnsupportedSeifertDataError(f"unsupported Seifert data (2, 3, {m})")
+    return family, (m + 6) // 12
 
 
 def _checked_family(m, orientation):
@@ -295,32 +297,19 @@ def brieskorn_class(m, orientation="+") -> SpectrumClass:
     with trivial base are stored in their quaternion-suspended form; use
     normalize() for the representative with negative cell degrees.
     """
-    family, n = _checked_family(m, orientation)
-    if family == "12n-1":
-        cls = SpectrumClass(
-            SwfSpace(GroupSuspension(), (FreeCell(1),) * (n - 1)), 0, Fraction(0)
-        )
-    elif family == "12n-5":
-        cls = SpectrumClass(
-            SwfSpace(GroupSuspension(), (FreeCell(1),) * (n - 1)), 0, Fraction(1, 2)
-        )
-    elif family == "12n+1":
-        cls = SpectrumClass(SwfSpace(RepSphere(0, 1), (FreeCell(3),) * n), 0, Fraction(1))
-    else:  # 12n+5
-        cls = SpectrumClass(SwfSpace(RepSphere(0, 1), (FreeCell(3),) * n), 0, Fraction(1, 2))
+    family, index = _checked_family(m, orientation)
+    _, base, n, degree, extra = FAMILIES[family]
+    cls = SpectrumClass(SwfSpace(base, (FreeCell(degree),) * (index + extra)), 0, n)
     return cls if orientation == "+" else cls.dual()
 
 
-# Smallest member of each family.  kappa = 2(k(base) - n) reads only the base
-# block and n, which brieskorn_class fixes per family and orientation (dual()
-# maps both without reading the free cells), so kappa is constant on a family.
-_FAMILY_REP = {"12n-1": 11, "12n-5": 7, "12n+1": 13, "12n+5": 17}
-
-
+# kappa = 2(k(base) - n) reads only the base block and n, which FAMILIES fixes
+# per family and orientation (dual() maps both without reading the free cells),
+# so kappa is constant on a family.
 @lru_cache(maxsize=8)
 def family_kappa(family, orientation) -> Fraction:
     """kappa of every Sigma(2, 3, m) in the family, with the chosen orientation."""
-    return brieskorn_class(_FAMILY_REP[family], orientation).kappa()
+    return brieskorn_class(FAMILIES[family][0], orientation).kappa()
 
 
 def brieskorn_kappa(m, orientation="+") -> Fraction:

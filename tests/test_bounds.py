@@ -185,19 +185,27 @@ class TestXi:
         assert (row.lower, row.upper, row.exact) == (-2, -1, None)
 
     def test_upper_bound_routes(self):
-        # orbifold-method and kappa-method uppers per family and orientation
+        # filling, orbifold-method and kappa-method uppers per family and
+        # orientation, and for the rows the golden table leaves out
         expected = {
-            "Sigma(2,3,12n-1)": (0, 1),
-            "-Sigma(2,3,12n-1)": (-1, -1),
-            "Sigma(2,3,12n-5)": (-1, 0),
-            "-Sigma(2,3,12n-5)": (0, 0),
-            "Sigma(2,3,12n+1)": (0, -1),
-            "-Sigma(2,3,12n+1)": (-1, -1),
-            "Sigma(2,3,12n+5)": (1, 0),
-            "-Sigma(2,3,12n+5)": (-2, -2),
+            "Sigma(2,3,12n-1)": (0, 0, 1),
+            "-Sigma(2,3,12n-1)": (0, -1, -1),
+            "Sigma(2,3,12n-5)": (-1, -1, 0),
+            "-Sigma(2,3,12n-5)": (1, 0, 0),
+            "Sigma(2,3,12n+1)": (0, 0, -1),
+            "-Sigma(2,3,12n+1)": (0, -1, -1),
+            "Sigma(2,3,12n+5)": (1, 1, 0),
+            "-Sigma(2,3,12n+5)": (-1, -2, -2),
+            "Sigma(2,3,13)": (-1, 0, -1),
+            "-Sigma(2,3,13)": (-1, -1, -1),
+            "Sigma(2,3,25)": (-1, 0, -1),
+            "-Sigma(2,3,25)": (-1, -1, -1),
+            "-Sigma(2,3,11)": (-1, -1, -1),
+            "-Sigma(2,3,7)": (0, 0, 0),
         }
-        for name, (orbifold, kappa) in expected.items():
+        for name, (filling, orbifold, kappa) in expected.items():
             row = xi_bounds(name)
+            assert row.upper_filling == filling, name
             assert row.upper_orbifold == orbifold, name
             assert row.upper_kappa == kappa, name
 

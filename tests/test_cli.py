@@ -316,6 +316,15 @@ class TestIdeal:
         monkeypatch.setenv("PIN2K_KMAX", "8")
         code, out, _ = run(capsys, "ideal", "witness", "--gens", "z^3")
         assert code == 0 and out.strip() == "nilpotence exponent = 4"
+        monkeypatch.setenv("PIN2K_KMAX", "256")
+        code, out, _ = run(capsys, "ideal", "witness", "--gens", "z^3")
+        assert code == 0 and out.strip() == "nilpotence exponent = 4"
+        monkeypatch.setenv("PIN2K_KMAX", "257")
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["ideal", "witness", "--gens", "z^3"])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2 and captured.out == ""
+        assert captured.err == f"error: PIN2K_KMAX = 257 is over the limit of {cli.MAX_KMAX}\n"
 
 
 class TestBrieskorn:

@@ -92,6 +92,12 @@ class TestCanonicalForm:
                     assert form.e % form.d == 0
                 if form.e:
                     assert (2 * form.d) % form.e == 0
+                # d*w is a member and (d/2)*w is not: completion seeds d with e,
+                # so a seed too small fails the first check, and one too large
+                # the second wherever d stays at the seed
+                assert ideal_member_oracle(raw, ((), form.d)), raw
+                if form.d and form.d == form.e and form.d % 2 == 0:
+                    assert not ideal_member_oracle(raw, ((), form.d // 2)), raw
 
 
 def golden_form_inputs():

@@ -83,3 +83,31 @@ def test_every_module_level_def_has_a_caller():
             if used[node.name] == names(node)[node.name] and node.name not in pin2k.__all__:
                 uncalled.append(f"{module}:{node.lineno} {node.name}")
     assert not uncalled, uncalled
+
+
+
+def test_every_method_has_a_caller():
+    # a method or property that nothing reads as an attribute is dead code,
+    # unless it overrides a base-class method (argparse calls its own error)
+    import importlib
+
+    used = set()
+    for folder in ("src", "tests", "perfbench"):
+        paths = sorted((SRC.parent.parent / folder).rglob("*.py"))
+        assert paths, folder
+        for path in paths:
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            used.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    uncalled = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("pin2k" if path.stem == "__init__" else f"pin2k.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = getattr(module, node.name).__mro__[1:]
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef) or item.name.startswith("__") or item.name in used:
+                    continue
+                if not any(hasattr(base, item.name) for base in bases):
+                    uncalled.append(f"{path.name}:{item.lineno} {node.name}.{item.name}")
+    assert not uncalled, uncalled

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -180,6 +181,16 @@ class TestBrieskorn:
         assert brieskorn_family(13) == ("12n+1", 1)
         assert brieskorn_family(17) == ("12n+5", 1)
         assert brieskorn_family(595) == ("12n-5", 50)
+        # the rule written out: m >= 7 with gcd(m, 6) = 1 is 12n-1, 12n-5, 12n+1
+        # or 12n+5 for exactly one family, and m + offset = 12n
+        offsets = {"12n-1": 1, "12n-5": 5, "12n+1": -1, "12n+5": -5}
+        for m in range(-30, 20001):
+            if m < 7 or gcd(m, 6) != 1:
+                with pytest.raises(UnsupportedSeifertDataError):
+                    brieskorn_family(m)
+                continue
+            expected = [(family, (m + off) // 12) for family, off in offsets.items() if (m + off) % 12 == 0]
+            assert [brieskorn_family(m)] == expected, m
 
     def test_kappa_table_anchors(self):
         assert brieskorn_kappa(11, "+") == 2
