@@ -5,7 +5,7 @@ violated verdict, 2 for usage or domain errors, 3 for an internal error.
 Each (command, action) pair has its own parser, which takes the arguments
 that action reads and --json, after the action; table and JSON output carry
 the same numbers.  The environment variable PIN2K_KMAX overrides the search
-cap used by ideal queries, up to MAX_KMAX.
+cap used by ideal queries, from 0 up to MAX_KMAX.
 
 Each subcommand imports the layers it runs when it runs, and json only for
 --json or a --chain, so start-up pays for nothing else.
@@ -32,6 +32,8 @@ def _k_max():
         k_max = int(os.environ.get("PIN2K_KMAX", K_MAX_DEFAULT))
     except ValueError:
         raise SystemExit(_usage_error("PIN2K_KMAX must be an integer"))
+    if k_max < 0:
+        raise SystemExit(_usage_error(f"PIN2K_KMAX = {k_max} is negative; the valid range is 0..{MAX_KMAX}"))
     if k_max > MAX_KMAX:
         raise SystemExit(_usage_error(f"PIN2K_KMAX = {k_max} is over the limit of {MAX_KMAX}"))
     return k_max

@@ -12,9 +12,10 @@ The base blocks carry their own suspension pair (t, l).  A spectrum class is
 a triple (space, m, n): the space formally de-suspended m times by the sign
 plane and n times by the quaternions, with n an exact rational whose
 denominator divides 16.  Ideals are read off blockwise: free cells
-contribute nothing, RepSphere(t, l) gives (z^l), both unreduced suspensions
-give the augmentation ideal (w, z), and each quaternionic suspension
-multiplies the ideal by (z).
+contribute nothing, RepSphere(t, l) gives (z^l) and both unreduced
+suspensions give (w, z)*(z^l) = (2^l*w, z^(l+1)), as w*z^l = 2^l*w.  So the
+block invariants are closed forms: k is l or l + 1, and a class is KG-split
+iff its base is a sphere.  Only ideal_of loads the ideals and ring layers.
 
 Free cells absorb suspensions as plain degree shifts (a suspension by any
 representation of real dimension r is an r-fold ordinary suspension on a
@@ -27,8 +28,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import Pin2kError, Record
-from .ideals import IdealForm, ideal_from_generators, ideal_product, z_power_ideal
-from .ring import W, Z
 
 
 class SpectraError(Pin2kError):
@@ -121,24 +120,20 @@ class SwfSpace(Record):
         return [self.base.label()] + [c.label() for c in self.free]
 
 
-def ideal_of(space: SwfSpace) -> IdealForm:
-    """Restriction-image ideal of the space; free cells never contribute."""
-    return _block_ideal(space.base)
+def ideal_of(space: SwfSpace):
+    """Restriction-image IdealForm of the space; free cells never contribute."""
+    from .ideals import IdealForm, z_power_ideal
+    from .ring import RingElem, z_pow
 
-
-@lru_cache(maxsize=64)
-def _block_ideal(base):
-    """Ideal of one base block, built once per process; callers share the immutable form."""
+    base = space.base
     if isinstance(base, RepSphere):
         return z_power_ideal(base.l)
-    aug = ideal_from_generators([W, Z])
-    if base.l:
-        return ideal_product(aug, z_power_ideal(base.l))
-    return aug
+    d = 1 << base.l  # (2^l*w, z^(l+1)): w*(2^l*w) = 2^(l+1)*w, so e = 2d
+    return IdealForm((RingElem(d, ()), z_pow(base.l + 1)), 2 * d, d)
 
 
 def k_of(space: SwfSpace) -> int:
-    return ideal_of(space).k_invariant()
+    return space.base.l if isinstance(space.base, RepSphere) else space.base.l + 1
 
 
 REP_CTILDE = "c~"
@@ -167,7 +162,7 @@ class SpectrumClass(Record):
         return 2 * (Fraction(self.k()) - self.n)
 
     def is_floer_kg_split(self):
-        return ideal_of(self.space).is_kg_split()
+        return isinstance(self.space.base, RepSphere)
 
     # -- suspension bookkeeping --------------------------------------------------
 

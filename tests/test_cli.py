@@ -319,12 +319,22 @@ class TestIdeal:
         monkeypatch.setenv("PIN2K_KMAX", "256")
         code, out, _ = run(capsys, "ideal", "witness", "--gens", "z^3")
         assert code == 0 and out.strip() == "nilpotence exponent = 4"
-        monkeypatch.setenv("PIN2K_KMAX", "257")
-        with pytest.raises(SystemExit) as exit_info:
-            cli.main(["ideal", "witness", "--gens", "z^3"])
-        captured = capsys.readouterr()
-        assert exit_info.value.code == 2 and captured.out == ""
-        assert captured.err == f"error: PIN2K_KMAX = 257 is over the limit of {cli.MAX_KMAX}\n"
+        monkeypatch.setenv("PIN2K_KMAX", "0")
+        code, out, _ = run(capsys, "ideal", "witness", "--gens", "1")
+        assert code == 0 and out.strip() == "nilpotence exponent = 0"
+        bad = {
+            "257": f"PIN2K_KMAX = 257 is over the limit of {cli.MAX_KMAX}",
+            "-1": f"PIN2K_KMAX = -1 is negative; the valid range is 0..{cli.MAX_KMAX}",
+            "-3": f"PIN2K_KMAX = -3 is negative; the valid range is 0..{cli.MAX_KMAX}",
+        }
+        for value, message in bad.items():
+            monkeypatch.setenv("PIN2K_KMAX", value)
+            for action in ("witness", "zw"):
+                with pytest.raises(SystemExit) as exit_info:
+                    cli.main(["ideal", action, "--gens", "1"])
+                captured = capsys.readouterr()
+                assert exit_info.value.code == 2 and captured.out == ""
+                assert captured.err == f"error: {message}\n"
 
 
 class TestBrieskorn:

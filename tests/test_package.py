@@ -42,8 +42,11 @@ def loaded_modules(*argv):
         (("ideal", "info", "--gens", "w,z"), {"ring", "ideals"}),
         (("bounds", "furuta", "--p", "2", "--q", "3"), {"bounds"}),
         (("bauer", "canonical", "--pieces", "3"), {"bounds"}),
-        (("brieskorn", "kappa", "2", "3", "11"), {"ring", "ideals", "spectra"}),
-        (("xi", "show", "S3"), {"ring", "ideals", "spectra", "bounds"}),
+        (("brieskorn", "kappa", "2", "3", "11"), {"spectra"}),
+        (("xi", "show", "S3"), {"spectra", "bounds"}),
+        (("brieskorn", "class", "2", "3", "13", "--orient", "-"), {"spectra"}),
+        (("brieskorn", "table", "--max-m", "100"), {"spectra"}),
+        (("xi", "table"), {"spectra", "bounds"}),
     ],
 )
 def test_each_command_loads_only_its_layers(argv, layers):

@@ -4,9 +4,9 @@ from math import gcd
 
 import pytest
 
-from pin2k import ideals, spectra
+from pin2k import ideals
 from pin2k.ideals import ideal_product, z_power_ideal
-from pin2k.ring import ONE, W, Z, z_pow
+from pin2k.ring import ONE, W, Z
 from pin2k.ideals import ideal_from_generators
 from pin2k.spectra import (
     MAX_M,
@@ -56,13 +56,22 @@ class TestBlockIdeals:
                 assert ideal_of(space(RepSphere(t, l))) == expected
                 assert k_of(space(RepSphere(t, l))) == l
 
-    def test_suspension_blocks_match_completion(self):
-        for t in range(5):
-            for l in range(5):
-                expected = ideal_product(AUG, ideal_from_generators([z_pow(l)]))
-                for base in (GroupSuspension(t, l), TorusSuspension(t, l)):
-                    assert ideal_of(space(base)) == expected, base
-                    assert k_of(space(base)) == l + 1, base
+    def test_closed_forms_match_completion(self):
+        # ideal_of, k_of and splitness are closed forms in l; check them
+        # against completed ideals and the invariants read off those
+        for l in range(9):
+            sphere = ideal_from_generators([Z**l])
+            suspended = ideal_product(AUG, sphere)
+            for t in range(9):
+                for base, expected in [
+                    (RepSphere(t, l), sphere),
+                    (GroupSuspension(t, l), suspended),
+                    (TorusSuspension(t, l), suspended),
+                ]:
+                    cls = SpectrumClass(space(base, 1, 3))
+                    assert ideal_of(cls.space) == expected, base
+                    assert k_of(cls.space) == expected.k_invariant(), base
+                    assert cls.is_floer_kg_split() == expected.is_kg_split(), base
 
     def test_unreduced_suspensions(self):
         assert ideal_of(space(GroupSuspension())) == AUG
@@ -228,9 +237,10 @@ class TestBrieskorn:
                     assert brieskorn_kappa(m, orient) == brieskorn_class(m, orient).kappa(), (m, orient)
 
     def test_classes_run_no_completion(self, monkeypatch):
-        # kappa and splitness read each base block's ideal from a cache and
-        # compare it with (z^k) in closed form, so once each family and
-        # orientation has been seen no class completes an ideal again
+        # k, kappa, splitness and the block ideal are closed forms in the
+        # base block, so no class completes an ideal, not even the first one
+        # of a family; every completion, ideal_product's included, looks
+        # ideal_from_generators up in pin2k.ideals, so counting there sees all
         calls = []
 
         def counted(gens):
@@ -238,17 +248,13 @@ class TestBrieskorn:
             return ideal_from_generators(gens)
 
         monkeypatch.setattr(ideals, "ideal_from_generators", counted)
-        monkeypatch.setattr(spectra, "ideal_from_generators", counted)
-        for m in (7, 11, 13, 17):
-            for orient in "+-":
-                brieskorn_class(m, orient).is_floer_kg_split()
-        calls.clear()
         for m in range(7, 602):
             if m % 2 and m % 3:
                 for orient in "+-":
                     cls = brieskorn_class(m, orient)
                     cls.kappa()
                     cls.is_floer_kg_split()
+                    ideal_of(cls.space)
         assert calls == []
 
     def test_unsupported_inputs(self):
