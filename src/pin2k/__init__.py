@@ -18,15 +18,39 @@ class Pin2kError(Exception):
 class Record:
     """Base of the immutable value classes.
 
-    A subclass names its fields in __slots__ and sets them in __init__ with
-    object.__setattr__; its __init__ takes the fields as parameters of the
-    same names, in the same order.  Instances are equal only to instances of
-    the same class with equal fields, hash by their fields, print as
-    Name(field=value, ...), and refuse assignment and deletion; _replace
-    returns a copy with some fields changed, validated by __init__ again.
+    A subclass names its fields in __slots__, in the order the constructor
+    takes them, by position or by keyword, and the defaults of trailing
+    fields in _defaults; a missing, surplus, unknown or repeated argument
+    raises TypeError.  A subclass that checks or coerces its fields does so
+    in its own __init__, which then calls super().__init__.  Instances are
+    equal only to instances of the same class with equal fields, hash by
+    their fields, print as Name(field=value, ...), and refuse assignment and
+    deletion; _replace returns a copy with some fields changed, validated by
+    __init__ again.
     """
 
     __slots__ = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):  # else one positional argument per field
+            cls = type(self).__name__
+            if len(args) > len(names):
+                raise TypeError(f"{cls}() takes {len(names)} arguments but {len(args)} were given")
+            for key in kwargs:
+                if key not in names or key in names[: len(args)]:
+                    problem = "multiple values for" if key in names else "an unexpected keyword"
+                    raise TypeError(f"{cls}() got {problem} argument {key!r}")
+            fields = {**self._defaults, **dict(zip(names, args)), **kwargs}
+            missing = [key for key in names if key not in fields]
+            if missing:
+                raise TypeError(f"{cls}() missing required argument {missing[0]!r}")
+            args = [fields[key] for key in names]
+        i = 0  # indexing, not zip: dual() builds a FreeCell per cell
+        for name in names:
+            object.__setattr__(self, name, args[i])
+            i += 1
 
     def _values(self):
         return tuple(getattr(self, name) for name in self.__slots__)

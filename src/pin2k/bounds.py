@@ -44,10 +44,6 @@ class Status(Enum):
 class Verdict(Record):
     __slots__ = ("status", "inequality")
 
-    def __init__(self, status, inequality):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "inequality", inequality)
-
     def exit_code(self):
         return 1 if self.status is Status.VIOLATED else 0
 
@@ -60,8 +56,7 @@ class IntersectionForm(Record):
     def __init__(self, p, q):
         if q < 0:
             raise ValueError("q must be nonnegative")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        super().__init__(p, q)
 
     @property
     def b2(self):
@@ -74,11 +69,7 @@ class IntersectionForm(Record):
 
 class BoundaryData(Record):
     __slots__ = ("kappa", "kg_split", "name")
-
-    def __init__(self, kappa, kg_split, name=""):
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "kg_split", kg_split)
-        object.__setattr__(self, "name", name)
+    _defaults = {"name": ""}
 
 
 def _verdict(ok, text):
@@ -231,11 +222,7 @@ class Manifold(Record):
     """
 
     __slots__ = ("sign", "family", "m")
-
-    def __init__(self, sign=1, family="S3", m=None):
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "m", m)
+    _defaults = {"sign": 1, "family": "S3", "m": None}
 
     def label(self):
         if self.family == "S3":
@@ -330,15 +317,6 @@ class XiBounds(Record):
     where a route or bound gives nothing."""
 
     __slots__ = ("manifold", "lower", "upper_filling", "upper_orbifold", "upper_kappa", "upper", "exact")
-
-    def __init__(self, manifold, lower, upper_filling, upper_orbifold, upper_kappa, upper, exact):
-        object.__setattr__(self, "manifold", manifold)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper_filling", upper_filling)
-        object.__setattr__(self, "upper_orbifold", upper_orbifold)
-        object.__setattr__(self, "upper_kappa", upper_kappa)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "exact", exact)
 
 
 def xi_bounds(manifold) -> XiBounds:

@@ -106,9 +106,9 @@ def _cmd_ideal(args):
 
     k_max = _k_max()
     gens = _parse_gens(args.gens)
-    form = ideals.ideal_from_generators(gens)
+    form = None if args.action == "k" else ideals.ideal_from_generators(gens)  # k reads only e
     if args.action == "k":
-        k = form.k_invariant()
+        k = ideals.k_from_e(ideals.w_gcd(gens))
         text, payload = f"k = {k}", {"k": k}
     elif args.action == "info":
         try:
@@ -326,10 +326,17 @@ _JSON_KINDS = {int: "an integer", bool: "a boolean", str: "a string"}
 def _chain_from_json(text):
     """The chain a --chain argument spells; MalformedChainError unless it is a
     list of {"p": int, "q": int, "boundary": null or {"kappa": int,
-    "kg_split": bool, "name": str}} objects ("boundary" and "name" optional)."""
+    "kg_split": bool, "name": str}} objects ("boundary" and "name" optional).
+    The keys must match exactly: any other key, a misspelt one say, is an
+    error rather than ignored."""
     import json
 
     from . import bounds as fb
+
+    def check_keys(obj, keys, where):
+        for key in obj:
+            if key not in keys:
+                raise fb.MalformedChainError(f"{where}: unknown key {key!r}")
 
     def field(obj, key, kind, where, default=None):
         if key not in obj and default is None:
@@ -355,12 +362,14 @@ def _chain_from_json(text):
         where = f"chain entry {i}"
         if not isinstance(entry, dict):
             raise fb.MalformedChainError(f"{where} is not an object")
+        check_keys(entry, ("p", "q", "boundary"), where)
         form = fb.IntersectionForm(field(entry, "p", int, where), field(entry, "q", int, where))
         boundary = entry.get("boundary")
         if boundary is not None:
             where = f"boundary of {where}"
             if not isinstance(boundary, dict):
                 raise fb.MalformedChainError(f"{where} is not an object")
+            check_keys(boundary, ("kappa", "kg_split", "name"), where)
             boundary = fb.BoundaryData(
                 field(boundary, "kappa", int, where),
                 field(boundary, "kg_split", bool, where),

@@ -90,11 +90,7 @@ class IdealForm(Record):
     """
 
     __slots__ = ("basis", "e", "d")
-
-    def __init__(self, basis=(), e=0, d=0):
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "d", d)
+    _defaults = {"basis": (), "e": 0, "d": 0}
 
     # -- queries --------------------------------------------------------------
 
@@ -114,17 +110,7 @@ class IdealForm(Record):
         return _reduce(x, *self._pivots(), self.d).is_zero()
 
     def k_invariant(self):
-        """Least k with some x in the ideal satisfying w*x = 2^k*w.
-
-        Such x exists iff 2^k lies in the subgroup e*Z, so the answer is
-        log2(e) when e is a power of two.
-        """
-        if self.e == 0:
-            raise NoWitnessError("the w-multiplier subgroup is trivial")
-        a = self.e.bit_length() - 1
-        if self.e != 1 << a:
-            raise NotSwfLikeError(f"w-multiplier generator {self.e} has an odd factor")
-        return a
+        return k_from_e(self.e)
 
     def is_kg_split(self):
         """True iff the ideal equals (z^k) for k its k-invariant."""
@@ -158,6 +144,25 @@ class IdealForm(Record):
         raise NoSuchKError(f"no suitable power of z up to {k_max}")
 
 
+def w_gcd(gens):
+    """e of the ideal the ring elements gens generate: the gcd of their w-multipliers."""
+    return gcd(*(g.w_multiplier() for g in gens))
+
+
+def k_from_e(e):
+    """Least k with some x in the ideal satisfying w*x = 2^k*w.
+
+    Such x exists iff 2^k lies in the subgroup e*Z, so the answer is
+    log2(e) when e is a power of two.
+    """
+    if e == 0:
+        raise NoWitnessError("the w-multiplier subgroup is trivial")
+    a = e.bit_length() - 1
+    if e != 1 << a:
+        raise NotSwfLikeError(f"w-multiplier generator {e} has an odd factor")
+    return a
+
+
 def _reduce(x, degrees, table, d):
     """Strong-reduce x against pivot table; the remainder is 0 iff x is a member."""
     while x.poly:
@@ -181,9 +186,7 @@ def ideal_from_generators(gens):
     """Canonical completed form of the ideal generated by gens."""
     gens = [g if isinstance(g, RingElem) else RingElem(0, (g,)) for g in gens]
     gens = [g for g in gens if not g.is_zero()]
-    e = 0
-    for g in gens:
-        e = gcd(e, g.w_multiplier())
+    e = w_gcd(gens)
 
     pool = {}  # polynomial degree -> element with that degree, leading coeff > 0
     d = e  # e*w = w*x for some x in I

@@ -17,9 +17,6 @@ import sys
 
 from . import Pin2kError, Record
 
-# Record fields are set with object's own __setattr__, bypassing the refusal.
-_set = object.__setattr__
-
 
 def _strip(coeffs):
     """The list coeffs as a tuple without trailing zeros; () is the zero polynomial.
@@ -67,16 +64,18 @@ class RingElem(Record):
 
     The constructor coerces wcoef and the coefficients of poly (any
     iterable) to int and drops trailing zeros from poly.  A poly that is
-    already a tuple of ints without trailing zeros is kept, not copied.
+    already a tuple of ints without trailing zeros is kept, not copied.  It
+    sets the fields itself, not through Record.__init__, since every ring
+    operation builds one.
     """
 
     __slots__ = ("wcoef", "poly")
 
     def __init__(self, wcoef=0, poly=()):
-        _set(self, "wcoef", int(wcoef))
+        object.__setattr__(self, "wcoef", int(wcoef))
         if type(poly) is not tuple or not all(type(c) is int for c in poly) or (poly and not poly[-1]):
             poly = _strip([int(c) for c in poly])
-        _set(self, "poly", poly)
+        object.__setattr__(self, "poly", poly)
 
     # -- structure ----------------------------------------------------------
 
@@ -239,12 +238,11 @@ H = const(2) - Z
 
 
 class LaurentElem(Record):
-    """Finitely supported integer Laurent polynomial in theta."""
+    """Finitely supported integer Laurent polynomial in theta; terms is
+    sorted ((exponent, coeff), ...) with every coeff nonzero."""
 
     __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        _set(self, "terms", terms)  # sorted ((exponent, coeff), ...), coeff != 0
+    _defaults = {"terms": ()}
 
     @staticmethod
     def make(mapping):

@@ -42,40 +42,33 @@ class UnsupportedSeifertDataError(SpectraError):
     pass
 
 
-class RepSphere(Record):
-    __slots__ = ("t", "l")
+class _Block(Record):
+    """A base block; each kind carries its own suspension pair (t, l)."""
+
+    __slots__ = ()
 
     def __init__(self, t=0, l=0):
         if t < 0 or l < 0:
-            raise UnsupportedBlockError("representation sphere needs t, l >= 0")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "l", l)
+            raise UnsupportedBlockError("suspension pair must be nonnegative")
+        super().__init__(t, l)
+
+
+class RepSphere(_Block):
+    __slots__ = ("t", "l")
 
     def label(self):
         return f"(C~^{self.t} + H^{self.l})^+" if (self.t or self.l) else "S^0"
 
 
-class GroupSuspension(Record):
+class GroupSuspension(_Block):
     __slots__ = ("t", "l")
-
-    def __init__(self, t=0, l=0):
-        if t < 0 or l < 0:
-            raise UnsupportedBlockError("suspension pair must be nonnegative")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "l", l)
 
     def label(self):
         return _susp_label("SuspG", self.t, self.l)
 
 
-class TorusSuspension(Record):
+class TorusSuspension(_Block):
     __slots__ = ("t", "l")
-
-    def __init__(self, t=0, l=0):
-        if t < 0 or l < 0:
-            raise UnsupportedBlockError("suspension pair must be nonnegative")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "l", l)
 
     def label(self):
         return _susp_label("SuspT", self.t, self.l)
@@ -93,9 +86,6 @@ def _susp_label(name, t, l):
 class FreeCell(Record):
     __slots__ = ("a",)
 
-    def __init__(self, a):
-        object.__setattr__(self, "a", a)
-
     def label(self):
         return f"S^{self.a} G+"
 
@@ -104,13 +94,12 @@ class SwfSpace(Record):
     __slots__ = ("base", "free")
 
     def __init__(self, base, free=()):
-        if not isinstance(base, (RepSphere, GroupSuspension, TorusSuspension)):
+        if not isinstance(base, _Block):
             raise UnsupportedBlockError(f"unsupported base block {base!r}")
         free = tuple(free)
         if not all(isinstance(c, FreeCell) for c in free):
             raise UnsupportedBlockError("free summands must be FreeCell blocks")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "free", free)
+        super().__init__(base, free)
 
     @property
     def level(self):
@@ -149,9 +138,7 @@ class SpectrumClass(Record):
         n = Fraction(n)
         if (16 * n).denominator != 1:
             raise UnsupportedBlockError("n must have denominator dividing 16")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
+        super().__init__(space, m, n)
 
     # -- invariants ------------------------------------------------------------
 

@@ -137,6 +137,16 @@ class TestMalformedInput:
             (("ring", "eval", "1+"), "error: unexpected end of input at byte 2\n"),
             (("ring", "eval", "(1"), "error: expected ')', found end of input at byte 2\n"),
             (("ring", "eval", "2^"), "error: expected 'int', found end of input at byte 2\n"),
+            (
+                ("bauer", "check", "--chain", '[{"p":2,"q":3,"boundry":{"kappa":-9,"kg_split":true}}]'),
+                "error: chain entry 0: unknown key 'boundry'\n",
+            ),
+            (
+                ("bauer", "check", "--chain", '[{"p":2,"q":3,"boundary":{"kappa":0,"kg_split":true,"kg_spilt":1}}]'),
+                "error: boundary of chain entry 0: unknown key 'kg_spilt'\n",
+            ),
+            (("bauer", "check", "--chain", '[{"p":2,"q":3},{"p":2,"q":3,"P":1}]'), "chain entry 1: unknown key 'P'"),
+            (("bauer", "check", "--chain", '[{"p":2,"q":3,"":0}]'), "chain entry 0: unknown key ''"),
         ],
     )
     def test_one_error_line(self, capsys, argv, message):
@@ -304,6 +314,24 @@ class TestIdeal:
         assert {k: second[k] for k in ("basis", "e", "d", "k", "kg_split")} == {
             k: payload[k] for k in ("basis", "e", "d", "k", "kg_split")
         }
+
+    def test_k_reads_e_without_completing(self, capsys, monkeypatch):
+        # k is read off e, the gcd of the generators' w-multipliers; completing
+        # this ideal first made the call take about 19 s
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "ideal", "k", "--gens", "z^5000,2")
+        elapsed = time.perf_counter() - start
+        assert code == 0 and out == "k = 1\n"
+        assert elapsed < 0.5, f"ideal k --gens z^5000,2 took {elapsed:.2f}s"
+        # the errors keep their order: the cap first, then the parse
+        monkeypatch.setenv("PIN2K_KMAX", "257")
+        with pytest.raises(SystemExit):
+            cli.main(["ideal", "k", "--gens", "z^"])
+        assert "PIN2K_KMAX" in capsys.readouterr().err
+        monkeypatch.delenv("PIN2K_KMAX")
+        for gens, message in [("z^", "found end of input at byte 2"), ("3*z", "6 has an odd factor"), ("0", "trivial")]:
+            code, out, err = run(capsys, "ideal", "k", "--gens", gens)
+            assert code == 2 and out == "" and err.count("\n") == 1 and message in err
 
     def test_contains(self, capsys):
         code, payload = run_json(capsys, "ideal", "contains", "--gens", "z^2", "--element", "2*w")

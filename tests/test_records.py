@@ -123,3 +123,72 @@ def test_suspend_and_normalize_results():
     assert brieskorn_class(29, "+").normalize() == SpectrumClass(
         SwfSpace(RepSphere(), (FreeCell(-1), FreeCell(-1))), 0, Fraction(-1, 2)
     )
+
+
+# The number of leading fields each record class requires; the rest default.
+REQUIRED = {
+    RingElem: 0,
+    LaurentElem: 0,
+    IdealForm: 0,
+    RepSphere: 0,
+    GroupSuspension: 0,
+    TorusSuspension: 0,
+    FreeCell: 1,
+    SwfSpace: 1,
+    SpectrumClass: 1,
+    Verdict: 2,
+    IntersectionForm: 2,
+    BoundaryData: 2,
+    Manifold: 0,
+    XiBounds: 7,
+}
+
+
+def fields(record):
+    return dict(zip(record.__slots__, record._values()))
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda value: type(value).__name__)
+def test_keywords_bind_like_positions(record):
+    cls, values, names = type(record), record._values(), record.__slots__
+    assert cls(*values) == record
+    assert cls(**fields(record)) == record
+    assert cls(values[0], **dict(zip(names[1:], values[1:]))) == record
+    assert cls(**dict(reversed(fields(record).items()))) == record
+
+
+def test_defaults():
+    assert set(REQUIRED) == {type(record) for record in RECORDS}
+    assert BoundaryData(1, False) == BoundaryData(1, False, "")
+    assert Manifold() == Manifold(1, "S3", None) == Manifold(family="S3")
+    assert IdealForm() == IdealForm((), 0, 0) == IdealForm(d=0)
+    assert LaurentElem() == LaurentElem(())
+    assert RingElem() == RingElem(0, ())
+    for block in (RepSphere, GroupSuspension, TorusSuspension):
+        assert block() == block(0, 0) == block(l=0) and block(1) == block(1, 0)
+    space = SwfSpace(RepSphere())
+    assert space == SwfSpace(RepSphere(), ())
+    assert SpectrumClass(space) == SpectrumClass(space, 0, Fraction(0))
+    for record in RECORDS:
+        # every field after the required ones has a default
+        cls = type(record)
+        assert isinstance(cls(*record._values()[: REQUIRED[cls]]), cls)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda value: type(value).__name__)
+def test_bad_arguments_raise_type_error(record):
+    cls, values, names = type(record), record._values(), record.__slots__
+    required = REQUIRED[cls]
+    if required:
+        with pytest.raises(TypeError):
+            cls(*values[: required - 1])
+        with pytest.raises(TypeError):
+            cls(**{name: value for name, value in fields(record).items() if name != names[required - 1]})
+    with pytest.raises(TypeError):
+        cls(*values, values[-1])
+    with pytest.raises(TypeError):
+        cls(*values, no_such_field=0)
+    with pytest.raises(TypeError):
+        cls(*values, **{names[0]: values[0]})
+    with pytest.raises(TypeError):
+        cls(values[0], **fields(record))

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -111,3 +114,106 @@ def test_every_method_has_a_caller():
                 if not any(hasattr(base, item.name) for base in bases):
                     uncalled.append(f"{path.name}:{item.lineno} {node.name}.{item.name}")
     assert not uncalled, uncalled
+
+
+def test_fields_are_set_in_two_constructors_only():
+    # Record.__init__ binds every record's fields; RingElem, which every ring
+    # operation builds, sets its own.  Nothing else writes past the refusal.
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope += (node.name,)
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__":
+            found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
+    assert set(found) == {"__init__.Record.__init__", "ring.RingElem.__init__"}, found
+
+
+def calls_super_init(function):
+    return any(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__init__"
+        and isinstance(node.func.value, ast.Call)
+        and isinstance(node.func.value.func, ast.Name)
+        and node.func.value.func.id == "super"
+        for node in ast.walk(function)
+    )
+
+
+def test_record_constructors_end_in_the_shared_one():
+    # a record class that checks or coerces its fields does so in its own
+    # __init__ and then binds them with Record.__init__
+    import importlib
+
+    from pin2k import Record
+    from pin2k.ring import RingElem
+
+    checked, bypassing = [], []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("pin2k" if path.stem == "__init__" else f"pin2k.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            cls = getattr(module, node.name)
+            if not issubclass(cls, Record) or cls in (Record, RingElem):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    (checked if calls_super_init(item) else bypassing).append(node.name)
+    assert not bypassing, bypassing
+    assert sorted(checked) == ["IntersectionForm", "SpectrumClass", "SwfSpace", "_Block"]
+
+
+def test_record_checks_survive_optimize():
+    # python -O drops assert statements; the checks in the constructors are
+    # raises, so they hold there too
+    code = """
+import sys
+from fractions import Fraction
+from pin2k.bounds import IntersectionForm
+from pin2k.spectra import FreeCell, GroupSuspension, RepSphere, SpectrumClass, SwfSpace, TorusSuspension
+cases = [
+    lambda: RepSphere(-1, 0),
+    lambda: GroupSuspension(0, -1),
+    lambda: TorusSuspension(t=-2),
+    lambda: RepSphere(1, 2)._replace(l=-1),
+    lambda: IntersectionForm(1, -1),
+    lambda: SpectrumClass(SwfSpace(RepSphere()), 0, Fraction(1, 32)),
+    lambda: SwfSpace(FreeCell(1)),
+    lambda: SwfSpace(RepSphere(), [1]),
+]
+print(sys.flags.optimize)
+for case in cases:
+    try:
+        case()
+    except Exception as err:
+        print(type(err).__name__, err)
+    else:
+        print("accepted")
+"""
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    block = "UnsupportedBlockError suspension pair must be nonnegative"
+    assert result.stdout.splitlines() == [
+        "1",
+        block,
+        block,
+        block,
+        block,
+        "ValueError q must be nonnegative",
+        "UnsupportedBlockError n must have denominator dividing 16",
+        "UnsupportedBlockError unsupported base block FreeCell(a=1)",
+        "UnsupportedBlockError free summands must be FreeCell blocks",
+    ]
