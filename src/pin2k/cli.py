@@ -327,8 +327,8 @@ def _chain_from_json(text):
     """The chain a --chain argument spells; MalformedChainError unless it is a
     list of {"p": int, "q": int, "boundary": null or {"kappa": int,
     "kg_split": bool, "name": str}} objects ("boundary" and "name" optional).
-    The keys must match exactly: any other key, a misspelt one say, is an
-    error rather than ignored."""
+    The keys must match exactly: any other key, a misspelt one say, or a
+    repeated one, is an error rather than ignored."""
     import json
 
     from . import bounds as fb
@@ -337,6 +337,14 @@ def _chain_from_json(text):
         for key in obj:
             if key not in keys:
                 raise fb.MalformedChainError(f"{where}: unknown key {key!r}")
+
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise fb.MalformedChainError(f"bad chain JSON: repeated key {key!r}")
+            obj[key] = value
+        return obj
 
     def field(obj, key, kind, where, default=None):
         if key not in obj and default is None:
@@ -347,7 +355,7 @@ def _chain_from_json(text):
         return value
 
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as err:
         raise fb.MalformedChainError(f"bad chain JSON: {err}") from None
     except RecursionError:

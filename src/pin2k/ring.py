@@ -17,6 +17,11 @@ import sys
 
 from . import Pin2kError, Record
 
+# Bound on the bits of x^n, one more per coefficient, and of the powers that
+# give its w-part.  `(1+z)^2046` takes about 1.6 s at this cap; a denser base
+# takes longer, `(1 + z + ... + z^255)^45` about 12 s.
+MAX_POWER_BITS = 2**22
+
 
 def _strip(coeffs):
     """The list coeffs as a tuple without trailing zeros; () is the zero polynomial.
@@ -35,10 +40,6 @@ def _poly_add(p, q):
     for i, c in enumerate(q):
         out[i] += c
     return _strip(out)
-
-
-def _poly_neg(p):
-    return tuple(-c for c in p)
 
 
 def _poly_mul(p, q):
@@ -98,7 +99,7 @@ class RingElem(Record):
     __radd__ = __add__
 
     def __neg__(self):
-        return RingElem(-self.wcoef, _poly_neg(self.poly))
+        return RingElem(-self.wcoef, tuple(-c for c in self.poly))
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -125,16 +126,29 @@ class RingElem(Record):
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        # P^n by squaring.  The w-part follows from w*x^n = w_multiplier(x)^n*w
+        # and w*P^n = P(2)^n*w; the difference is even since
+        # w_multiplier(x) = 2*lam + P(2).
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        acc = ONE
-        base = self
+        p2 = _poly_eval(self.poly, 2)
+        wmul = 2 * self.wcoef + p2
+        # |coefficients of P^n| <= |P|_1^n and (a - 1).bit_length() = ceil(log2 a),
+        # so a monomial's powers cost one bit a coefficient
+        norm = max(sum(map(abs, self.poly)), 1)
+        bits = (n * max(self.degree, 0) + 1) * (n * (norm - 1).bit_length() + 1)
+        bits += n * (max(abs(wmul), abs(p2), 1) - 1).bit_length()
+        if bits > MAX_POWER_BITS:
+            raise ValueError(f"a power of up to {bits} bits is over the limit of {MAX_POWER_BITS}")
+        wpart = (wmul**n - p2**n) // 2
+        poly, base = (1,), self.poly
         while n:
             if n & 1:
-                acc = acc * base
-            base = base * base
+                poly = _poly_mul(poly, base)
             n >>= 1
-        return acc
+            if n:
+                base = _poly_mul(base, base)
+        return RingElem(wpart, poly)
 
     # -- homomorphisms and the w-line ---------------------------------------
 
@@ -147,15 +161,19 @@ class RingElem(Record):
         return 2 * self.wcoef + _poly_eval(self.poly, 2)
 
     def restrict_s1(self):
-        """Restriction to the circle subgroup: w -> 0, z -> 2 - theta - 1/theta."""
-        zim = LaurentElem.make({0: 2, 1: -1, -1: -1})
-        acc = LaurentElem.make({0: 1})
-        result = LaurentElem.make({})
-        for c in self.poly:
+        """Restriction to the circle subgroup: w -> 0, z -> 2 - theta - 1/theta.
+
+        Since z = -theta^-1 (theta - 1)^2, z^k goes to the sum over j = 0..2k
+        of (-1)^(k+j) C(2k, j) theta^(k-j).
+        """
+        out = {}
+        for k, c in enumerate(self.poly):
             if c:
-                result = result + acc.scale(c)
-            acc = acc * zim
-        return result
+                term = c if k % 2 == 0 else -c  # the j = 0 term, times c
+                for j in range(2 * k + 1):
+                    out[k - j] = out.get(k - j, 0) + term
+                    term = -term * (2 * k - j) // (j + 1)
+        return LaurentElem(tuple(sorted((e, a) for e, a in out.items() if a)))
 
     # -- formatting ----------------------------------------------------------
 
@@ -243,36 +261,6 @@ class LaurentElem(Record):
 
     __slots__ = ("terms",)
     _defaults = {"terms": ()}
-
-    @staticmethod
-    def make(mapping):
-        items = tuple(sorted((e, c) for e, c in mapping.items() if c))
-        return LaurentElem(items)
-
-    def as_dict(self):
-        return dict(self.terms)
-
-    def scale(self, n):
-        if n == 0:
-            return LaurentElem()
-        return LaurentElem(tuple((e, n * c) for e, c in self.terms))
-
-    def __add__(self, other):
-        out = self.as_dict()
-        for e, c in other.terms:
-            out[e] = out.get(e, 0) + c
-        return LaurentElem.make(out)
-
-    def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                key = e1 + e2
-                out[key] = out.get(key, 0) + c1 * c2
-        return LaurentElem.make(out)
-
-    def is_zero(self):
-        return not self.terms
 
     def __str__(self):
         return _format_terms([(c, _theta_monomial(e)) for e, c in self.terms])

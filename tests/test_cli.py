@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -147,6 +148,12 @@ class TestMalformedInput:
             ),
             (("bauer", "check", "--chain", '[{"p":2,"q":3},{"p":2,"q":3,"P":1}]'), "chain entry 1: unknown key 'P'"),
             (("bauer", "check", "--chain", '[{"p":2,"q":3,"":0}]'), "chain entry 0: unknown key ''"),
+            (("bauer", "check", "--chain", '[{"p":2,"q":2,"q":3}]'), "error: bad chain JSON: repeated key 'q'\n"),
+            (("bauer", "check", "--chain", '[{"p":2,"q":3,"q":2}]'), "error: bad chain JSON: repeated key 'q'\n"),
+            (
+                ("bauer", "check", "--chain", '[{"p":2,"q":3,"boundary":{"kappa":0,"kg_split":true,"kappa":-9}}]'),
+                "error: bad chain JSON: repeated key 'kappa'\n",
+            ),
         ],
     )
     def test_one_error_line(self, capsys, argv, message):
@@ -288,6 +295,46 @@ class TestRing:
         _, out, _ = run(capsys, "ring", "wmul", "3 + z")
         _, payload = run_json(capsys, "ring", "wmul", "3 + z")
         assert out.strip() == str(payload["w_multiplier"]) == "5"
+
+
+    @pytest.mark.parametrize(
+        "action,expr,head,tail",
+        [
+            ("restrict", "z^2000", "theta^-2000 - 4000*theta^-1999 + ", " - 4000*theta^1999 + theta^2000\n"),
+            ("eval", "z^200000", "z^200000", "z^200000\n"),
+        ],
+        ids=["restrict", "eval"],
+    )
+    def test_powers_and_restriction_are_closed_forms(self, capsys, action, expr, head, tail):
+        # x^n takes one power of the w-multiplier and the restriction sums
+        # binomials; a ring product per factor and Laurent products per power
+        # of z made these calls take about 4 s and 9 s
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "ring", action, expr)
+        elapsed = time.perf_counter() - start
+        assert code == 0 and out.startswith(head) and out.endswith(tail)
+        assert elapsed < 1, f"ring {action} {expr} took {elapsed:.2f}s"
+
+    @pytest.mark.parametrize("expr", ["z^99999999999", "2^99999999999", "w^99999999999", "(1+z)^4000"])
+    def test_power_over_the_size_cap_is_two(self, expr):
+        # in a subprocess held to 1 GB of address space and 20 s, so that a
+        # power computed without the cap fails the test rather than the host
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "pin2k.cli", "ring", "eval", expr],
+            capture_output=True,
+            text=True,
+            timeout=20,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            preexec_fn=limit_memory,
+        )
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert re.fullmatch(r"error: a power of up to \d+ bits is over the limit of 4194304\n", proc.stderr)
+        assert elapsed < 1, f"ring eval {expr} took {elapsed:.2f}s"
 
 
 class TestIdeal:

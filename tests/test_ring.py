@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from pin2k.ring import (
     CTILDE,
     H,
+    MAX_POWER_BITS,
     ONE,
     W,
     Z,
@@ -25,10 +27,16 @@ from oracles import mul_matrix_oracle, random_pair
 coeffs = st.integers(min_value=-9, max_value=9)
 polys = st.lists(coeffs, max_size=7).map(tuple)
 elems = st.builds(RingElem, coeffs, polys)
+# rational points at which to compare Laurent polynomials in theta
+THETAS = (Fraction(2), Fraction(-3, 5), Fraction(7, 2))
 
 
 def as_pair(x):
     return x.poly, x.wcoef
+
+
+def at(laurent, theta):
+    return sum(c * theta**e for e, c in laurent.terms)
 
 
 class TestParse:
@@ -171,6 +179,27 @@ class TestArithmetic:
             assert all(type(c) is int for c in (x.wcoef, *x.poly)), x
         assert (z_pow(2) - z_pow(2)) == ZERO and (Z + 1) * (Z - 1) + 1 == z_pow(2)
 
+    @given(st.one_of(elems, st.just(ZERO), st.builds(RingElem, coeffs)), st.integers(0, 8))
+    def test_power_is_the_repeated_product(self, x, n):
+        product = ONE
+        for _ in range(n):
+            product = product * x
+        assert x**n == product
+
+    def test_power_size_cap(self):
+        # 2^k has k + 1 bits, and its w-part is 2^k - 2^k, so it counts 2k + 1
+        assert (const(2) ** 2097151).poly == (2**2097151,)
+        with pytest.raises(ValueError, match=f"^a power of up to 4194305 bits is over the limit of {MAX_POWER_BITS}$"):
+            const(2) ** 2097152
+        # each of these is cheap to compute uncapped; tests/test_cli.py runs
+        # the ones that are not in a subprocess with bounded memory
+        for x, n in [(Z, 2097152), (W, 4194304), (ONE + Z, 2047), (const(3) - 2 * W, 2 * 10**6)]:
+            with pytest.raises(ValueError, match="over the limit"):
+                x**n
+        # powers of 0 and of units cost nothing however large the exponent
+        assert ZERO ** 10**12 == ZERO and ONE ** 10**12 == ONE and (-ONE) ** (10**12 + 1) == -ONE
+        assert CTILDE ** (10**12 + 1) == CTILDE
+
     def test_big_integers_do_not_overflow(self):
         x = z_pow(40) + W
         y = x * x
@@ -185,18 +214,24 @@ class TestHomomorphisms:
         assert parse("3 + 5*z + 7*w").augment() == 3
 
     def test_restrict_examples(self):
-        assert W.restrict_s1().is_zero()
-        assert Z.restrict_s1() == LaurentElem.make({0: 2, 1: -1, -1: -1})
-        assert parse("z^2").restrict_s1() == LaurentElem.make(
-            {0: 6, 1: -4, -1: -4, 2: 1, -2: 1}
+        assert W.restrict_s1() == LaurentElem(())
+        assert Z.restrict_s1() == LaurentElem(((-1, -1), (0, 2), (1, -1)))
+        assert parse("z^2").restrict_s1() == LaurentElem(((-2, 1), (-1, -4), (0, 6), (1, -4), (2, 1)))
+        # z^3 = -theta^-3 (theta - 1)^6
+        assert parse("z^3").restrict_s1() == LaurentElem(
+            ((-3, -1), (-2, 6), (-1, -15), (0, 20), (1, -15), (2, 6), (3, -1))
         )
+        assert H.restrict_s1() == LaurentElem(((-1, 1), (1, 1)))  # h = 2 - z -> theta + 1/theta
+        assert CTILDE.restrict_s1() == LaurentElem(((0, 1),))  # c~ = 1 - w -> 1
 
     @given(elems, elems)
     def test_both_maps_are_ring_homomorphisms(self, x, y):
         assert (x * y).augment() == x.augment() * y.augment()
         assert (x + y).augment() == x.augment() + y.augment()
-        assert (x * y).restrict_s1() == x.restrict_s1() * y.restrict_s1()
-        assert (x + y).restrict_s1() == x.restrict_s1() + y.restrict_s1()
+        for t in THETAS:
+            assert at(x.restrict_s1(), t) == sum(c * (2 - t - 1 / t) ** k for k, c in enumerate(x.poly))
+            assert at((x * y).restrict_s1(), t) == at(x.restrict_s1(), t) * at(y.restrict_s1(), t)
+            assert at((x + y).restrict_s1(), t) == at(x.restrict_s1(), t) + at(y.restrict_s1(), t)
 
     def test_w_multiplier_examples(self):
         assert z_pow(5).w_multiplier() == 32
