@@ -41,7 +41,7 @@ from bisect import bisect_right
 from math import gcd
 
 from . import Pin2kError, Record
-from .ring import RingElem, Z, w_pow, z_pow
+from .ring import RingElem, w_pow, z_pow
 
 K_MAX_DEFAULT = 64
 
@@ -196,25 +196,24 @@ def ideal_from_generators(gens):
     def clamp(x):
         # keep sub-leading coefficients below the current pivots; without this
         # the xgcd merges compound tail entries to astronomically many bits
+        degrees = sorted(pool)
         for pos in range(x.degree - 1, -1, -1):
-            b = x.poly[pos] if pos < len(x.poly) else 0
-            if not b:
-                continue
-            ep = max((e for e in pool if e <= pos), default=None)
-            if ep is None:
-                continue
-            q = b // pool[ep].poly[-1]
-            if q:
-                x = x - q * (z_pow(pos - ep) * pool[ep])
+            idx = bisect_right(degrees, pos) - 1
+            if idx < 0:
+                break
+            b = x.poly[pos]  # the leading term stays, so x keeps its length
+            if b:
+                f = pool[degrees[idx]]
+                x = x.sub_shifted(b // f.poly[-1], f, pos - degrees[idx])
         if d and x.wcoef:
-            x = RingElem(x.wcoef % d, x.poly)
+            x = RingElem._make(x.wcoef % d, x.poly)
         return x
 
     def assigned(f):
         # closing under the z-shift, bounded by max_deg; the w-image of f and
         # z acting on pure-w elements both give multiples of d*w already
         if f.degree < max_deg:
-            work.append(Z * f)
+            work.append(f.shift(1))
 
     while work:
         x = work.pop()
@@ -231,14 +230,14 @@ def ideal_from_generators(gens):
                 break
             c = f.poly[-1]
             if a % c == 0:
-                x = x - (a // c) * f
+                x = x.sub_shifted(a // c, f, 0)
             else:
                 u, v, g = xgcd(c, a)
                 merged = clamp(u * f + v * x)
                 pool[deg] = merged
                 assigned(merged)
-                work.append(clamp(f - (c // g) * merged))
-                x = x - (a // g) * merged
+                work.append(clamp(f.sub_shifted(c // g, merged, 0)))
+                x = x.sub_shifted(a // g, merged, 0)
             x = clamp(x)
         if x.wcoef:
             d = gcd(d, abs(x.wcoef))

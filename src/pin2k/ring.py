@@ -14,6 +14,7 @@ z = 2 - h.  The parser accepts both; storage is always in {w, z}.
 from __future__ import annotations
 
 import sys
+from itertools import compress
 
 from . import Pin2kError, Record
 
@@ -21,6 +22,12 @@ from . import Pin2kError, Record
 # give its w-part.  `(1+z)^2046` takes about 1.6 s at this cap; a denser base
 # takes longer, `(1 + z + ... + z^255)^45` about 12 s.
 MAX_POWER_BITS = 2**22
+
+# Bound on the work of restrict_s1: the sum over the nonzero coefficients c_k
+# of (2k + 1) * (2k + bits(c_k)), its 2k + 1 binomial terms times their bits.
+# `z^23169`, just under this cap, takes about 0.8 s and `z^2000` (work 1.6e7)
+# 0.01 s; a dense polynomial of degree 800 (work 6.9e8) about 0.5 s.
+MAX_RESTRICT_WORK = 2**31
 
 
 def _strip(coeffs):
@@ -67,7 +74,9 @@ class RingElem(Record):
     iterable) to int and drops trailing zeros from poly.  A poly that is
     already a tuple of ints without trailing zeros is kept, not copied.  It
     sets the fields itself, not through Record.__init__, since every ring
-    operation builds one.
+    operation builds one.  Powers and the z-shift primitives of completion,
+    whose results are normal forms by construction, build through the
+    unchecked _make instead.
     """
 
     __slots__ = ("wcoef", "poly")
@@ -77,6 +86,14 @@ class RingElem(Record):
         if type(poly) is not tuple or not all(type(c) is int for c in poly) or (poly and not poly[-1]):
             poly = _strip([int(c) for c in poly])
         object.__setattr__(self, "poly", poly)
+
+    @classmethod
+    def _make(cls, wcoef, poly):
+        """Trusted constructor for the results of ring operations: wcoef an
+        int and poly a tuple of ints without trailing zeros, bound unchecked."""
+        self = object.__new__(cls)
+        Record.__init__(self, wcoef, poly)
+        return self
 
     # -- structure ----------------------------------------------------------
 
@@ -141,6 +158,9 @@ class RingElem(Record):
         if bits > MAX_POWER_BITS:
             raise ValueError(f"a power of up to {bits} bits is over the limit of {MAX_POWER_BITS}")
         wpart = (wmul**n - p2**n) // 2
+        if self.poly and not any(self.poly[:-1]):
+            # c*z^m, whose power c^n*z^(mn) needs no product
+            return RingElem._make(wpart, (0,) * (n * self.degree) + (self.poly[-1] ** n,))
         poly, base = (1,), self.poly
         while n:
             if n & 1:
@@ -148,7 +168,25 @@ class RingElem(Record):
             n >>= 1
             if n:
                 base = _poly_mul(base, base)
-        return RingElem(wpart, poly)
+        return RingElem._make(wpart, poly)
+
+    # -- z-shifts, for ideal completion ---------------------------------------
+
+    def shift(self, s):
+        """z^s * self, which is 2^s*lam*w + z^s*P."""
+        return RingElem._make(self.wcoef << s, (0,) * s + self.poly if self.poly else ())
+
+    def sub_shifted(self, q, f, s):
+        """self - q*z^s*f for an integer q, in one pass over the coefficients."""
+        if not q:
+            return self
+        out = list(self.poly)
+        top = len(f.poly) + s
+        if len(out) < top:
+            out.extend([0] * (top - len(out)))
+        for i, c in enumerate(f.poly, s):
+            out[i] -= q * c
+        return RingElem._make(self.wcoef - (q * f.wcoef << s), _strip(out))
 
     # -- homomorphisms and the w-line ---------------------------------------
 
@@ -166,8 +204,12 @@ class RingElem(Record):
         Since z = -theta^-1 (theta - 1)^2, z^k goes to the sum over j = 0..2k
         of (-1)^(k+j) C(2k, j) theta^(k-j).
         """
+        poly = self.poly
+        work = sum((2 * k + 1) * (2 * k + poly[k].bit_length()) for k in compress(range(len(poly)), poly))
+        if work > MAX_RESTRICT_WORK:
+            raise ValueError(f"a restriction of work {work} is over the limit of {MAX_RESTRICT_WORK}")
         out = {}
-        for k, c in enumerate(self.poly):
+        for k, c in enumerate(poly):
             if c:
                 term = c if k % 2 == 0 else -c  # the j = 0 term, times c
                 for j in range(2 * k + 1):

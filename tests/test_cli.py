@@ -336,6 +336,26 @@ class TestRing:
         assert re.fullmatch(r"error: a power of up to \d+ bits is over the limit of 4194304\n", proc.stderr)
         assert elapsed < 1, f"ring eval {expr} took {elapsed:.2f}s"
 
+    def test_restriction_over_the_work_cap_is_two(self):
+        # z^2000000 passes the ^ cap, but its restriction would sum 4e6
+        # binomials of up to 4e6 bits; held to 1 GB and 20 s as above
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "pin2k.cli", "ring", "restrict", "z^2000000"],
+            capture_output=True,
+            text=True,
+            timeout=20,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            preexec_fn=limit_memory,
+        )
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert re.fullmatch(r"error: a restriction of work \d+ is over the limit of 2147483648\n", proc.stderr)
+        assert elapsed < 1, f"ring restrict z^2000000 took {elapsed:.2f}s"
+
 
 class TestIdeal:
     def test_k_example(self, capsys):

@@ -99,6 +99,19 @@ class TestCanonicalForm:
                 if form.d and form.d == form.e and form.d % 2 == 0:
                     assert not ideal_member_oracle(raw, ((), form.d // 2)), raw
 
+    def test_oracles_agree_at_degree_16(self):
+        # the tests above stop at degree 4 and the golden corpus at 12
+        rng = random.Random(16)
+        for _ in range(30):
+            raw = random_generator_set(rng, max_deg=16, cmax=9)
+            gens = gens_to_elems(raw)
+            form = ideal_from_generators(gens)
+            assert form.e == wmult_subgroup_oracle(raw), raw
+            for b in form.basis:
+                assert ideal_member_oracle(raw, (b.poly, b.wcoef)), (raw, b)
+            for g in gens:
+                assert form.contains(g), (raw, g)
+
 
 def golden_form_inputs():
     """The 300 seeded generating sets of golden/ideal_forms.txt: degree up to

@@ -2,13 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pin2k.ring import (
     CTILDE,
     H,
     MAX_POWER_BITS,
+    MAX_RESTRICT_WORK,
     ONE,
     W,
     Z,
@@ -186,6 +187,16 @@ class TestArithmetic:
             product = product * x
         assert x**n == product
 
+    @given(coeffs, coeffs.filter(bool), st.integers(0, 6), st.integers(0, 8))
+    def test_monomial_power_is_the_repeated_product(self, lam, c, m, n):
+        # lam*w + c*z^m takes its power in closed form, without a product
+        x = RingElem(lam, (0,) * m + (c,))
+        product = ONE
+        for _ in range(n):
+            product = product * x
+        assert x**n == product
+        assert_normal(x**n)
+
     def test_power_size_cap(self):
         # 2^k has k + 1 bits, and its w-part is 2^k - 2^k, so it counts 2k + 1
         assert (const(2) ** 2097151).poly == (2**2097151,)
@@ -207,6 +218,49 @@ class TestArithmetic:
         assert z_pow(200).w_multiplier() == 2 ** 200
 
 
+def assert_normal(x):
+    # the trusted constructor binds what it is given, so the shift primitives
+    # must hand it the normal form the validating constructor would build
+    assert type(x.wcoef) is int and type(x.poly) is tuple
+    assert all(type(c) is int for c in x.poly) and (not x.poly or x.poly[-1] != 0)
+    assert x == RingElem(x.wcoef, x.poly)
+
+
+class TestShiftPrimitives:
+    # q over all integers draws 0, negative and multi-word multipliers
+    shifts = st.integers(min_value=0, max_value=6)
+
+    @given(elems, shifts)
+    @example(ZERO, 3)
+    @example(W, 2)
+    @example(RingElem(-5, (1, 2)), 0)
+    def test_shift_is_a_power_of_z(self, x, s):
+        got = x.shift(s)
+        assert got == z_pow(s) * x
+        assert_normal(got)
+
+    @given(elems, st.integers(), elems, shifts)
+    @example(RingElem(3, (1, 2)), 0, Z, 2)
+    @example(ZERO, -4, W, 3)
+    @example(W, 7, ZERO, 0)
+    @example(ZERO, 1, ZERO, 0)
+    @example(RingElem(0, (0, 0, 5)), 5, Z, 1)  # x becomes 0
+    def test_sub_shifted_is_the_ring_expression(self, x, q, f, s):
+        got = x.sub_shifted(q, f, s)
+        assert got == x - q * (z_pow(s) * f)
+        assert_normal(got)
+
+    @given(elems, st.integers().filter(bool), elems.filter(lambda f: f.poly), shifts)
+    @example(RingElem(2, (0, 4)), -3, RingElem(1, (1, 1)), 1)
+    def test_sub_shifted_cancels_the_leading_terms(self, r, q, f, s):
+        # x = r + q*z^s*f with r of any degree, so the leading terms of x
+        # cancel whenever r is shorter, and the result must drop them
+        x = r + q * (z_pow(s) * f)
+        got = x.sub_shifted(q, f, s)
+        assert got == r
+        assert_normal(got)
+
+
 class TestHomomorphisms:
     def test_augment_examples(self):
         assert W.augment() == 0
@@ -223,6 +277,17 @@ class TestHomomorphisms:
         )
         assert H.restrict_s1() == LaurentElem(((-1, 1), (1, 1)))  # h = 2 - z -> theta + 1/theta
         assert CTILDE.restrict_s1() == LaurentElem(((0, 1),))  # c~ = 1 - w -> 1
+
+    def test_restriction_over_the_work_cap_raises_first(self):
+        # (2k + 1)^2 passes 2^31 at k = 23170, so z^23170 is refused before a
+        # single binomial is summed, and z^2000 (work 1.6e7) is answered
+        message = r"^a restriction of work \d+ is over the limit of 2147483648$"
+        assert MAX_RESTRICT_WORK == 2**31
+        with pytest.raises(ValueError, match=message):
+            z_pow(23170).restrict_s1()
+        with pytest.raises(ValueError, match=message):
+            RingElem(0, (1,) * 1000 + (2**10**6,)).restrict_s1()
+        assert z_pow(2000).restrict_s1().terms[0] == (-2000, 1)
 
     @given(elems, elems)
     def test_both_maps_are_ring_homomorphisms(self, x, y):
