@@ -2,18 +2,20 @@
 
 Exit codes: 0 for satisfied verdicts and successful computations, 1 for a
 violated verdict, 2 for usage or domain errors, 3 for an internal error.
-Each (command, action) pair has its own parser, which takes the arguments
-that action reads and --json, after the action; table and JSON output carry
-the same numbers.  The environment variable PIN2K_KMAX overrides the search
-cap used by ideal queries, from 0 up to MAX_KMAX.
+Each (command, action) pair takes the arguments that its table declares,
+and --json, after the action; table and JSON output carry the same numbers.
+The environment variable PIN2K_KMAX overrides the search cap used by ideal
+queries, from 0 up to MAX_KMAX.
 
 Each subcommand imports the layers it runs when it runs, and json only for
---json or a --chain, so start-up pays for nothing else.
+--json or a --chain, so start-up pays for nothing else.  For the same
+reason the command line is read by a short parser over those tables, with
+argparse's rules and messages but not argparse, and the process ends in
+run() without the interpreter's teardown.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -66,8 +68,9 @@ def _frac_json(value):
 # -- ring ----------------------------------------------------------------------
 
 # Each command's table maps its actions to the arguments each one reads
-# besides --json, as (name, add_argument options); build_parser declares
-# exactly these.
+# besides --json, as (name, options) in argparse's add_argument terms (type,
+# choices, default, required, dest, store_true/store_false, help); _scan
+# reads exactly these.
 _RING = dict.fromkeys(["eval", "augment", "restrict", "wmul"], [("expr", {})])
 
 
@@ -263,7 +266,7 @@ _BOUNDS = {
 def _cmd_bounds(args):
     from . import bounds as fb
 
-    params = {key: value for key, value in vars(args).items() if key not in ("command", "action", "json", "func")}
+    params = {key: value for key, value in vars(args).items() if key not in ("command", "action", "json")}
     result = getattr(fb, _BOUNDS[args.action][0])(**params)
     if args.action == "bohr-lee":
         _emit(args, f"m(-Y)/2 <= {result}", {"kappa": args.kappa, "bound": result})
@@ -412,62 +415,198 @@ def _cmd_bauer(args):
 
 # -- parser ----------------------------------------------------------------------------
 
-
-class _Parser(argparse.ArgumentParser):
-    """Reports a usage error like every other error: one line, exit code 2."""
-
-    def error(self, message):
-        raise SystemExit(_usage_error(message))
+_HELP = {"action": "help"}
+_JSON = ("--json", {"action": "store_true", "help": "print the answer as one JSON object"})
 
 
-def build_parser(argv):
-    """The pin2k parser: one sub-parser per (command, action) that declares
-    the arguments in that command's table and nothing else.  Only the
-    commands named in argv get their action parsers: those are most of the
-    build time.
-    """
-    commands = {  # command -> (help, handler, action -> arguments)
+def _commands():
+    """command -> (help, handler, action -> arguments), built at call time so
+    that a handler patched into this module is the one that runs."""
+    bounds = {action: arguments for action, (_, arguments) in _BOUNDS.items()}
+    return {
         "ring": ("representation-ring arithmetic", _cmd_ring, _RING),
         "ideal": ("ideal canonical forms and invariants", _cmd_ideal, _IDEAL),
         "brieskorn": ("spectrum classes of Sigma(2,3,m)", _cmd_brieskorn, _BRIESKORN),
-        "bounds": (
-            "intersection-form admissibility checks",
-            _cmd_bounds,
-            {action: arguments for action, (_, arguments) in _BOUNDS.items()},
-        ),
+        "bounds": ("intersection-form admissibility checks", _cmd_bounds, bounds),
         "xi": ("bounds on the maximal p - q over spin fillings", _cmd_xi, _XI),
         "bauer": ("decomposition-chain exclusion checks", _cmd_bauer, _BAUER),
     }
-    parser = _Parser(
-        prog="pin2k",
-        description="Exact calculator for Pin(2) representation-ring ideals, "
-        "spectrum-class invariants, and spin intersection-form bounds.",
-    )
-    command_ps = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, handler, actions) in commands.items():
-        command_p = command_ps.add_parser(command, help=help_text)
-        command_p.set_defaults(func=handler)
-        if command in argv:
-            action_ps = command_p.add_subparsers(dest="action", required=True)
-            for action, arguments in actions.items():
-                # no abbreviations: orbifold would read --b2 as --b2plus
-                action_p = action_ps.add_parser(action, allow_abbrev=False)
-                for name, options in arguments:
-                    action_p.add_argument(name, **options)
-                action_p.add_argument("--json", action="store_true")
-    return parser
+
+
+class _Args:
+    """A parsed call: command, action, json and a field per argument."""
+
+    def __init__(self, fields):
+        self.__dict__.update(fields)
+
+
+def _fail(message):
+    return SystemExit(_usage_error(message))
+
+
+def _dest(name, options):
+    return options.get("dest", name.lstrip("-").replace("-", "_"))
+
+
+def _synopsis(arguments):
+    """The arguments as a usage line writes them."""
+    words = []
+    for name, options in arguments:
+        word = options.get("rest") or name
+        if name[0] == "-" and "action" not in options:
+            metavar = "{%s}" % ",".join(options["choices"]) if "choices" in options else _dest(name, options).upper()
+            word += " " + metavar
+        words.append(word if name[0] != "-" or options.get("required") else f"[{word}]")
+    return " ".join(words)
+
+
+def _help(prog, about, arguments):
+    """The --help block of prog: its usage, what it is for, and a line per
+    command or action it chooses from, or per argument it reads."""
+    first = arguments[0][1]
+    if "row" in first:
+        rows = [(name, first["row"](entry)) for name, entry in first["choices"].items()]
+    else:
+        rows = [(name, options.get("help", "")) for name, options in arguments]
+    width = max(len(name) for name, _ in rows)
+    lines = [f"  {name:<{width}}  {text}".rstrip() for name, text in rows]
+    return "\n".join([f"usage: {prog} {_synopsis(arguments)}", "", about, "", *lines])
+
+
+def _value(name, options, text):
+    """text as the value of an argument, converted by its type and checked
+    against its choices."""
+    if "type" in options:
+        try:
+            text = options["type"](text)
+        except (TypeError, ValueError):
+            raise _fail(f"argument {name}: invalid {options['type'].__name__} value: {text!r}") from None
+    choices = options.get("choices")
+    if choices is not None and text not in choices:
+        raise _fail(f"argument {name}: invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})")
+    return text
+
+
+def _is_negative_number(token):
+    # argparse's -\d+ or -\d*\.\d+, whose $ also matches before a final newline
+    body = token[1:-1] if token.endswith("\n") else token[1:]
+    whole, dot, fraction = body.partition(".")
+    return body.isdecimal() or bool(dot) and (not whole or whole.isdecimal()) and fraction.isdecimal()
+
+
+def _scan(argv, arguments, extras, prog, about):
+    """The values, by dest, of one level of argv read against arguments,
+    (name, options) pairs as in the command tables, by argparse's rules.
+
+    A token is a flag if it names one, also as --flag=value, or is -h with
+    more h's; any other token that starts with - is an unknown flag, unless
+    it is -, a negative number or has a space.  The first -- ends the flags
+    and is dropped next to a positional that fills an argument.  Positionals
+    fill the arguments in order; one with "rest" takes its token and all
+    that follow as a list.  Unknown flags and surplus positionals go to
+    extras.  A usage error, and --help once prog's help is printed, raise
+    SystemExit.
+    """
+    flags = {"-h": _HELP, "--help": _HELP, **{name: options for name, options in arguments if name[0] == "-"}}
+    pending = [(name, options) for name, options in arguments if name[0] != "-"]
+    values = {
+        _dest(name, options): options["action"] == "store_false" if "action" in options else options.get("default")
+        for name, options in arguments
+        if name[0] == "-"
+    }
+    end = argv.index("--") if "--" in argv else len(argv)
+    seen, filled, i = set(), False, 0  # filled: the last token filled a positional
+
+    def flag(i):  # (name, explicit value or None) for a flag, ("", None) for an unknown one, None for a positional
+        token = argv[i]
+        if i >= end or token[:1] != "-" or token == "-":
+            return None
+        if token in flags:
+            return token, None
+        name, eq, value = token.partition("=")
+        if eq and name in flags:
+            return name, value
+        if token[:2] == "-h":  # -hh is -h -h; any other tail is a value of -h
+            return "-h", token[2:].lstrip("h") or None
+        return None if _is_negative_number(token) or " " in token else ("", None)
+
+    while i < len(argv):
+        token, found, after_fill, filled = argv[i], flag(i), filled, False
+        i += 1
+        if found is None:
+            if pending and pending[0][1].get("rest") and argv[i - 1 :] != ["--"]:
+                name, options = pending.pop(0)
+                values[name] = [_value(name, options, token), *argv[i:]]
+                break
+            if i - 1 == end:
+                if not (after_fill or pending and i < len(argv)):
+                    extras.append(token)
+            elif pending:
+                name, options = pending.pop(0)
+                values[_dest(name, options)] = _value(name, options, token)
+                filled = True
+            else:
+                extras.append(token)
+            continue
+        name, explicit = found
+        if not name:
+            extras.append(token)
+            continue
+        options = flags[name]
+        if "action" in options:
+            if explicit is not None:
+                label = "-h/--help" if options is _HELP else name
+                raise _fail(f"argument {label}: ignored explicit argument {explicit!r}")
+            if options is _HELP:
+                print(_help(prog, about, arguments))
+                raise SystemExit(0)
+            values[_dest(name, options)] = options["action"] == "store_true"
+        else:
+            if explicit is None:
+                if i >= end or flag(i) is not None:
+                    raise _fail(f"argument {name}: expected one argument")
+                explicit, i = argv[i], i + 1
+            values[_dest(name, options)] = _value(name, options, explicit)
+        seen.add(name)
+    unfilled = [name for name, _ in pending]
+    missing = [name for name, options in arguments if name in unfilled or options.get("required") and name not in seen]
+    if missing:
+        raise _fail(f"the following arguments are required: {', '.join(missing)}")
+    return values
+
+
+def _parse(argv, commands):
+    """The _Args of argv, read in three levels: pin2k, the command, the action."""
+    extras = []
+
+    def route(name, spelt, choices, row):  # a positional that names the next level; row(choice) for --help
+        return [(name, {"choices": choices, "rest": spelt, "row": row})]
+
+    about = "Exact calculator for Pin(2) representation-ring ideals, spectrum classes and spin intersection forms."
+    top = route("command", "<command> <action> ...", commands, lambda entry: entry[0])
+    command, *argv = _scan(argv, top, extras, "pin2k", about)["command"]
+    about, _, actions = commands[command]
+    middle = route("action", "<action> ...", actions, lambda arguments: _synopsis([*arguments, _JSON]))
+    action, *argv = _scan(argv, middle, extras, f"pin2k {command}", about)["action"]
+    values = _scan(argv, [*actions[action], _JSON], extras, f"pin2k {command} {action}", about)
+    if extras:
+        raise _fail(f"unrecognized arguments: {' '.join(extras)}")
+    return _Args({"command": command, "action": action, **values})
 
 
 def main(argv=None):
+    """Runs one pin2k call and returns its exit code; a usage error or
+    --help raises SystemExit instead."""
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    commands = _commands()
+    args = _parse(argv, commands)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        code = commands[args.command][1](args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
         return code
     except BrokenPipeError:
         # the reader closed stdout, which ends the output; point it at devnull
-        # so that the flush at interpreter exit stays silent
+        # so that the flush at exit stays silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except (Pin2kError, ValueError) as err:
@@ -484,5 +623,23 @@ def main(argv=None):
         return 3
 
 
+def run():
+    """The pin2k process: main, then os._exit, which skips the interpreter's
+    teardown (freeing every module, a last garbage collection).  pin2k opens
+    no files, starts no threads and registers no atexit hooks, so flushing
+    stdout and stderr is all of that teardown it needs."""
+    try:
+        code = main()
+    except SystemExit as stop:
+        code = stop.code
+    for stream in (sys.stdout, sys.stderr):  # only --help text can be left: main flushes the answers
+        try:
+            if stream is not None:  # None when the process started with it closed
+                stream.flush()
+        except OSError:  # the reader closed the pipe, as in main: the output just ends
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -15,13 +15,19 @@ from __future__ import annotations
 
 import sys
 from itertools import compress
+from math import comb
 
 from . import Pin2kError, Record
 
 # Bound on the bits of x^n, one more per coefficient, and of the powers that
-# give its w-part.  `(1+z)^2046` takes about 1.6 s at this cap; a denser base
-# takes longer, `(1 + z + ... + z^255)^45` about 12 s.
+# give its w-part.  `(1+z)^2046` takes about 1.6 s at this cap.
 MAX_POWER_BITS = 2**22
+
+# Bound on the schoolbook work of P^n, nonzero coefficients of one factor
+# times coefficients of the other times bits, which a denser base reaches
+# first: `(1 + z + ... + z^255)^45` (12 s) and `(1 + z + ... + z^15)^264`
+# (3.5 s) are over it, `(1+z)^2046` (2047^3) just under it.
+MAX_POWER_WORK = 2**33
 
 # Bound on the work of restrict_s1: the sum over the nonzero coefficients c_k
 # of (2k + 1) * (2k + bits(c_k)), its 2k + 1 binomial terms times their bits.
@@ -153,14 +159,21 @@ class RingElem(Record):
         # |coefficients of P^n| <= |P|_1^n and (a - 1).bit_length() = ceil(log2 a),
         # so a monomial's powers cost one bit a coefficient
         norm = max(sum(map(abs, self.poly)), 1)
-        bits = (n * max(self.degree, 0) + 1) * (n * (norm - 1).bit_length() + 1)
-        bits += n * (max(abs(wmul), abs(p2), 1) - 1).bit_length()
+        size, coef_bits = n * max(self.degree, 0) + 1, n * (norm - 1).bit_length() + 1
+        bits = size * coef_bits + n * (max(abs(wmul), abs(p2), 1) - 1).bit_length()
         if bits > MAX_POWER_BITS:
             raise ValueError(f"a power of up to {bits} bits is over the limit of {MAX_POWER_BITS}")
         wpart = (wmul**n - p2**n) // 2
         if self.poly and not any(self.poly[:-1]):
             # c*z^m, whose power c^n*z^(mn) needs no product
             return RingElem._make(wpart, (0,) * (n * self.degree) + (self.poly[-1] ** n,))
+        # each product below pairs the nonzero coefficients of one factor, of
+        # which a power P^k of a t-term P has at most C(t + k - 1, k), with
+        # at most `size` of the other, all of at most `coef_bits` bits
+        terms = len(self.poly) - self.poly.count(0)
+        work = min(size, comb(terms + n - 1, n) if terms else 1) * size * coef_bits
+        if work > MAX_POWER_WORK:
+            raise ValueError(f"a power of work {work} is over the limit of {MAX_POWER_WORK}")
         poly, base = (1,), self.poly
         while n:
             if n & 1:

@@ -1,3 +1,9 @@
+import argparse
+import ast
+import contextlib
+import functools
+import io
+import itertools
 import json
 import os
 import re
@@ -9,6 +15,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pin2k import cli
 
@@ -356,6 +364,79 @@ class TestRing:
         assert re.fullmatch(r"error: a restriction of work \d+ is over the limit of 2147483648\n", proc.stderr)
         assert elapsed < 1, f"ring restrict z^2000000 took {elapsed:.2f}s"
 
+    @pytest.mark.parametrize("base,n", [(255, 45), (15, 264)])
+    def test_power_over_the_work_cap_is_two(self, base, n):
+        # (1 + z + ... + z^base)^n passes the size cap, but its products took
+        # about 12 s and 3.5 s; held to 1 GB and 20 s as above
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+        expr = "(%s)^%d" % (" + ".join(f"z^{k}" for k in range(base + 1)), n)
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "pin2k.cli", "ring", "eval", expr],
+            capture_output=True,
+            text=True,
+            timeout=20,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            preexec_fn=limit_memory,
+        )
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert re.fullmatch(r"error: a power of work \d+ is over the limit of 8589934592\n", proc.stderr)
+        assert elapsed < 1, f"ring eval (1 + ... + z^{base})^{n} took {elapsed:.2f}s"
+
+
+class TestProcess:
+    """`python -m pin2k.cli` ends in cli.run, which flushes stdout and stderr
+    and leaves through os._exit, skipping the interpreter's teardown."""
+
+    @staticmethod
+    def pin2k(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "pin2k.cli", *argv],
+            capture_output=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+
+    def test_long_output_arrives_whole(self):
+        proc = self.pin2k("brieskorn", "table", "--max-m", "100000")
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert len(proc.stdout.splitlines()) == 2 * len([m for m in range(7, 100001) if m % 2 and m % 3])
+        assert proc.stdout.endswith(b"kappa(Sigma(2,3,99997)) = 0\nkappa(-Sigma(2,3,99997)) = 0\n")
+
+    def test_xi_table_is_golden(self):
+        proc = self.pin2k("xi", "table")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, (GOLDEN / "xi_table.txt").read_bytes(), b"")
+
+    def test_exit_codes(self):
+        proc = self.pin2k("ring", "--json", "eval", "1")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"error: unrecognized arguments: --json\n")
+        proc = self.pin2k("bounds", "split", "--p", "2", "--q", "2")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"Violated: 0 + 2 >= 0 + 2 + 1\n", b"")
+        proc = self.pin2k("ring", "eval", "--help")
+        assert (proc.returncode, proc.stderr) == (0, b"") and proc.stdout.startswith(b"usage: pin2k ring eval ")
+
+    def test_closed_streams_end_without_a_traceback(self):
+        # a stream closed before start-up is None in sys; main reports the
+        # write to a closed stdout as before, and the exit flushes only what is open
+        for fd, code in [(1, 3), (2, 2)]:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pin2k.cli", "ring", "eval", "w +" if fd == 2 else "1"],
+                capture_output=True,
+                timeout=60,
+                env=dict(os.environ, PYTHONPATH=str(SRC)),
+                preexec_fn=lambda: os.close(fd),
+            )
+            assert proc.returncode == code and b"Traceback" not in proc.stdout + proc.stderr
+
+    def test_installed_script_runs_what_main_module_runs(self):
+        script = re.search(r'^pin2k = "pin2k\.cli:(\w+)"$', (SRC.parent / "pyproject.toml").read_text(), re.M)
+        tree = ast.parse((SRC / "pin2k" / "cli.py").read_text(encoding="utf-8"))
+        guard = [node for node in tree.body if isinstance(node, ast.If) and "__main__" in ast.unparse(node.test)]
+        assert [ast.unparse(node) for node in guard[0].body] == [f"{script.group(1)}()"] == ["run()"]
+
 
 class TestIdeal:
     def test_k_example(self, capsys):
@@ -552,3 +633,148 @@ class TestOutputConsistency:
         a = run_json(capsys, "ideal", "info", "--gens", "w,z")
         b = run_json(capsys, "ideal", "info", "--gens", "w,z")
         assert a == b
+
+
+# -- the parser against argparse, and main on drawn argv ---------------------------------
+
+COMMANDS = cli._commands()
+ARGUMENTS = [
+    argument for _, _, actions in COMMANDS.values() for arguments in actions.values() for argument in arguments
+]
+POSITIONALS = {name for name, _ in ARGUMENTS if name[0] != "-"}
+FLAGS = sorted({name for name, _ in ARGUMENTS if name[0] == "-"} | {"--json", "-h", "--help"})
+INTS = ["0", "1", "2", "3", "7", "11", "-3", "1_0", " 5"]
+TEXTS = {
+    "expr": ["1 + z", "-1 + z", "w", "z^2", "-"],
+    "--gens": ["w,z", "z", "2*w", "z^2, 2*z, 4"],
+    "--element": ["w", "2*w", "-1"],
+    "manifold": ["S3", "Sigma(2,3,11)", "-Sigma(2,3,12n-1)"],
+    "--chain": ['[{"p":2,"q":3}]', "[]", "{"],
+}
+# tokens that take each parsing rule: flags spelt with =, abbreviated or
+# grouped, unknown flags, negative numbers, a value with a space, --, -
+ODD = ["--", "-", "", "x", "-3", "-1.5", "-3\n", "-z", "--bogus", "--js", "--p=2", "--json=1", "--orient=-"]
+ODD += ["--orient=", "-h=x", "--help=", "-hh", "-hx", "--=x", "eval", "table", "ring"]
+
+
+def spelt(argument):
+    """An argument as a call writes it, with values that it takes and some
+    that it refuses: a positional, a flag and its value, --flag=value or a
+    switch."""
+    name, options = argument
+    if "action" in options:
+        return st.sampled_from([[name], [name], [f"{name}=1"]])
+    if "choices" in options:
+        value = st.sampled_from([*options["choices"], "x"])
+    elif options.get("type") is int:
+        value = st.sampled_from(INTS + ["x", ""])
+    else:
+        value = st.sampled_from(TEXTS[name])
+    if name[0] != "-":
+        return value.map(lambda value: [value])
+    return value.flatmap(lambda value: st.sampled_from([[name, value], [f"{name}={value}"]]))
+
+
+@st.composite
+def argvs(draw):
+    """An argv: a command, an action and that action's arguments, with now
+    and then a refused value, up to three tokens from anywhere put in
+    anywhere, or the end cut off."""
+    command = draw(st.sampled_from([*COMMANDS, "bogus"]))
+    actions = COMMANDS[command][2] if command in COMMANDS else {}
+    action = draw(st.sampled_from([*actions, "bogus"]))
+    arguments = [*actions.get(action, []), cli._JSON]
+    argv = [command, action]
+    for argument in arguments:
+        if argument[0][0] != "-" or argument[1].get("required") or draw(st.booleans()):
+            argv += draw(spelt(argument))
+    stray = st.one_of(
+        st.sampled_from(arguments).flatmap(spelt),
+        st.sampled_from(ARGUMENTS).flatmap(spelt),
+        st.sampled_from(FLAGS + ODD).map(lambda token: [token]),
+    )
+    for tokens in draw(st.lists(stray, max_size=3)):
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at] = tokens
+    return argv[: draw(st.integers(0, len(argv)))] if draw(st.integers(0, 9)) == 0 else argv
+
+
+class ArgparseUsage(Exception):
+    """A usage error of the reference parser, with argparse's message."""
+
+
+class ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ArgparseUsage(message)
+
+
+@functools.cache
+def reference_parser():
+    """argparse built from cli's tables, as pin2k parsed before it had its
+    own parser: a sub-parser per (command, action) declaring the arguments
+    of the action's table and --json, and no abbreviations at any level."""
+    parser = ReferenceParser(prog="pin2k", allow_abbrev=False)
+    command_ps = parser.add_subparsers(dest="command", required=True)
+    for command, (_, _, actions) in COMMANDS.items():
+        action_ps = command_ps.add_parser(command, allow_abbrev=False).add_subparsers(dest="action", required=True)
+        for action, arguments in actions.items():
+            action_p = action_ps.add_parser(action, allow_abbrev=False)
+            for name, options in [*arguments, cli._JSON]:
+                action_p.add_argument(name, **options)
+    return parser
+
+
+def outcome(parse, argv):
+    """("ok", fields), ("help", the level's prog) or ("error", message)."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            fields = vars(parse(list(argv)))
+    except ArgparseUsage as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        if exc.code:
+            assert exc.code == 2 and out.getvalue() == "" and err.getvalue().startswith("error: ")
+            return "error", err.getvalue()[len("error: ") :].removesuffix("\n")
+        words = out.getvalue().split()[1:]  # the words after "usage:"
+        return "help", list(itertools.takewhile(lambda word: word[0] not in "[<{-" and word not in POSITIONALS, words))
+    return "ok", fields
+
+
+# one argv for each reading rule of cli._scan, run every time
+@example(["xi", "show", "--", "S3"])
+@example(["ring", "eval", "1", "--"])
+@example(["xi", "table", "--"])
+@example(["brieskorn", "kappa", "2", "--", "3", "11"])
+@example(["--", "ring", "eval", "1"])
+@example(["ring", "--", "eval", "1"])
+@example(["ring", "eval", "-hh"])
+@example(["ring", "-hx"])
+@example(["-h=x"])
+@example(["bounds", "furuta", "--p", "-3", "--q=x"])
+@example(["bounds", "furuta", "--p", "--"])
+@example(["bounds", "split", "--json=1"])
+@example(["bounds", "split", "--js"])
+@example(["ring", "eval", "-1 + z"])
+@example(["ring", "eval", "-z"])
+@example(["ring", "eval", "-3\n"])
+@example(["--bogus", "ring", "--json", "eval", "1", "x"])
+@settings(max_examples=400, deadline=None)
+@given(argvs())
+def test_parser_agrees_with_argparse(argv):
+    # accept or reject, every parsed field, the level whose --help runs and
+    # every error message; and main answers with an exit code
+    mine = outcome(lambda argv: cli._parse(argv, COMMANDS), argv)
+    assert mine == outcome(reference_parser().parse_args, argv), argv
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+            assert code in (0, 2), argv
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert code == {"help": 0, "error": 2}.get(mine[0], code), argv
+    # one error line, but a token with a newline that the message quotes raw
+    # (argparse does the same) spans more
+    assert err.getvalue() == "" if code < 2 else err.getvalue().startswith("error: "), (argv, err.getvalue())

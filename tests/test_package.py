@@ -10,14 +10,14 @@ import pin2k
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Runs `pin2k` with the given arguments through cli.main (none: import only)
-# and prints the pin2k modules and json, dataclasses and inspect, if loaded.
-# -S keeps site's own imports out of the picture.
+# and prints the pin2k modules and the start-up costs watched here, if
+# loaded.  -S keeps site's own imports out of the picture.
 PROBE = """
 import sys
 from pin2k import cli
 if sys.argv[1:]:
     cli.main(sys.argv[1:])
-watched = ("json", "dataclasses", "inspect")
+watched = ("json", "dataclasses", "inspect", "argparse", "gettext", "locale")
 print(" ".join(sorted(m for m in sys.modules if m.startswith("pin2k") or m in watched)))
 """
 
@@ -50,7 +50,8 @@ def loaded_modules(*argv):
     ],
 )
 def test_each_command_loads_only_its_layers(argv, layers):
-    # no path may load dataclasses or inspect: both are start-up cost only
+    # no path may load dataclasses, inspect, argparse, gettext or locale:
+    # all are start-up cost only
     expected = {"pin2k", "pin2k.cli"} | {f"pin2k.{layer}" for layer in layers}
     assert loaded_modules(*argv) == expected
     if argv:

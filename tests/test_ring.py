@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given
@@ -9,6 +10,7 @@ from pin2k.ring import (
     CTILDE,
     H,
     MAX_POWER_BITS,
+    MAX_POWER_WORK,
     MAX_RESTRICT_WORK,
     ONE,
     W,
@@ -210,6 +212,15 @@ class TestArithmetic:
         # powers of 0 and of units cost nothing however large the exponent
         assert ZERO ** 10**12 == ZERO and ONE ** 10**12 == ONE and (-ONE) ** (10**12 + 1) == -ONE
         assert CTILDE ** (10**12 + 1) == CTILDE
+
+    def test_power_work_cap(self):
+        # the work bound counts the nonzero coefficients of the powers, at
+        # most C(t + n - 1, n) for t terms: a sparse base of high degree is
+        # cheap and answered, a dense one of the same size refused
+        dense, sparse = RingElem(0, (1,) * 16), ONE + z_pow(1000)
+        with pytest.raises(ValueError, match=f"^a power of work 16583823697 is over the limit of {MAX_POWER_WORK}$"):
+            dense**264
+        assert (sparse**50).poly == tuple(comb(50, k // 1000) if k % 1000 == 0 else 0 for k in range(50001))
 
     def test_big_integers_do_not_overflow(self):
         x = z_pow(40) + W

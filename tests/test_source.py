@@ -101,7 +101,7 @@ def test_every_module_level_def_has_a_caller():
 
 def test_every_method_has_a_caller():
     # a method or property that nothing reads as an attribute is dead code,
-    # unless it overrides a base-class method (argparse calls its own error)
+    # unless it overrides a base-class method, which the base class may call
     import importlib
 
     used = set()
