@@ -46,8 +46,13 @@ def _k_max():
 _DIGIT_LIMIT_MESSAGE = "Exceeds the limit ("
 
 
+# Each character that str.splitlines ends a line at, mapped to its escape, so
+# that an error quoting a raw argv token stays on one line.
+_LINE_BREAKS = {ord(ch): repr(ch)[1:-1] for ch in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 def _usage_error(message):
-    print(f"error: {message}", file=sys.stderr)
+    print(f"error: {message}".translate(_LINE_BREAKS), file=sys.stderr)
     return 2
 
 
@@ -619,7 +624,7 @@ def main(argv=None):
             )
         return _usage_error(message)
     except Exception as err:  # a bug, not a verdict: keep it off exit codes 1 and 2
-        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        print(f"internal error: {type(err).__name__}: {err}".translate(_LINE_BREAKS), file=sys.stderr)
         return 3
 
 

@@ -45,6 +45,11 @@ from .ring import RingElem, w_pow, z_pow
 
 K_MAX_DEFAULT = 64
 
+# Bound on the largest generator degree that completion takes.  Its pool
+# holds up to one element per degree, each as long as that degree, so
+# `z^1024 + 1, 2` takes about 0.6 s and `z^2048 + 1, 2` 2.5 s.
+MAX_DEGREE = 2**10
+
 
 def xgcd(a, b):
     """Return (x, y, g) with x*a + y*b == g == gcd(a, b), g >= 0."""
@@ -186,16 +191,22 @@ def ideal_from_generators(gens):
     """Canonical completed form of the ideal generated by gens."""
     gens = [g if isinstance(g, RingElem) else RingElem(0, (g,)) for g in gens]
     gens = [g for g in gens if not g.is_zero()]
+    max_deg = max((g.degree for g in gens if g.poly), default=-1)
+    if max_deg > MAX_DEGREE:
+        raise ValueError(f"a generator of degree {max_deg} is over the limit of {MAX_DEGREE}")
     e = w_gcd(gens)
 
     pool = {}  # polynomial degree -> element with that degree, leading coeff > 0
     d = e  # e*w = w*x for some x in I
-    max_deg = max((g.degree for g in gens if g.poly), default=-1)
     work = list(gens)
 
     def clamp(x):
-        # keep sub-leading coefficients below the current pivots; without this
-        # the xgcd merges compound tail entries to astronomically many bits
+        # reduce the sub-leading coefficients below the current pivots.  What
+        # the pool stores and what a merge pushes back onto work pass through
+        # here, so the xgcd merges, which scale tails by their cofactors,
+        # never compound unclamped tails to astronomically many bits.  A work
+        # element between two reduction steps needs none: an exact step adds
+        # at most bits(a) + bits(pivot tail) to its next leading coefficient.
         degrees = sorted(pool)
         for pos in range(x.degree - 1, -1, -1):
             idx = bisect_right(degrees, pos) - 1
@@ -238,7 +249,6 @@ def ideal_from_generators(gens):
                 assigned(merged)
                 work.append(clamp(f.sub_shifted(c // g, merged, 0)))
                 x = x.sub_shifted(a // g, merged, 0)
-            x = clamp(x)
         if x.wcoef:
             d = gcd(d, abs(x.wcoef))
 

@@ -66,10 +66,16 @@ def _poly_mul(p, q):
     return _strip(out)
 
 
-def _poly_eval(p, x):
+def _at_two(p):
+    """P(2).  Horner's rule doubles an ever longer integer at each step, which
+    is quadratic in the degree, so a long sum is split as
+    P_low(2) + 2^h * P_high(2) and only short ones run Horner."""
+    if len(p) > 64:
+        h = len(p) // 2
+        return _at_two(p[:h]) + (_at_two(p[h:]) << h)
     acc = 0
     for c in reversed(p):
-        acc = acc * x + c
+        acc = acc * 2 + c
     return acc
 
 
@@ -96,9 +102,11 @@ class RingElem(Record):
     @classmethod
     def _make(cls, wcoef, poly):
         """Trusted constructor for the results of ring operations: wcoef an
-        int and poly a tuple of ints without trailing zeros, bound unchecked."""
+        int and poly a tuple of ints without trailing zeros, bound unchecked
+        through the slot descriptors."""
         self = object.__new__(cls)
-        Record.__init__(self, wcoef, poly)
+        _set_wcoef(self, wcoef)
+        _set_poly(self, poly)
         return self
 
     # -- structure ----------------------------------------------------------
@@ -143,7 +151,11 @@ class RingElem(Record):
         if other is NotImplemented:
             return NotImplemented
         lam, mu = self.wcoef, other.wcoef
-        wpart = 2 * lam * mu + lam * _poly_eval(other.poly, 2) + mu * _poly_eval(self.poly, 2)
+        wpart = 2 * lam * mu
+        if lam:  # each P(2) only where the other side has a w-part to pair it with
+            wpart += lam * _at_two(other.poly)
+        if mu:
+            wpart += mu * _at_two(self.poly)
         return RingElem(wpart, _poly_mul(self.poly, other.poly))
 
     __rmul__ = __mul__
@@ -154,7 +166,7 @@ class RingElem(Record):
         # w_multiplier(x) = 2*lam + P(2).
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        p2 = _poly_eval(self.poly, 2)
+        p2 = _at_two(self.poly)
         wmul = 2 * self.wcoef + p2
         # |coefficients of P^n| <= |P|_1^n and (a - 1).bit_length() = ceil(log2 a),
         # so a monomial's powers cost one bit a coefficient
@@ -209,7 +221,7 @@ class RingElem(Record):
 
     def w_multiplier(self):
         """The unique integer c with w * self == c * w, namely 2*lam + P(2)."""
-        return 2 * self.wcoef + _poly_eval(self.poly, 2)
+        return 2 * self.wcoef + _at_two(self.poly)
 
     def restrict_s1(self):
         """Restriction to the circle subgroup: w -> 0, z -> 2 - theta - 1/theta.
@@ -243,6 +255,12 @@ class RingElem(Record):
 
     def __repr__(self):
         return f"RingElem({self})"
+
+
+# the slot writers behind RingElem._make, looked up once: a direct slot write
+# skips Record.__init__'s argument checks and the __setattr__ lookup
+_set_wcoef = RingElem.__dict__["wcoef"].__set__
+_set_poly = RingElem.__dict__["poly"].__set__
 
 
 def _format_terms(terms):

@@ -61,11 +61,11 @@ class TestExitCodes:
 
     def test_internal_error_is_three(self, capsys, monkeypatch):
         def crash(args):
-            raise RuntimeError("boom")
+            raise RuntimeError("boom\r\nagain")
 
         monkeypatch.setattr(cli, "_cmd_ring", crash)
         code, out, err = run(capsys, "ring", "eval", "1")
-        assert (code, out, err) == (3, "", "internal error: RuntimeError: boom\n")
+        assert (code, out, err) == (3, "", "internal error: RuntimeError: boom\\r\\nagain\n")
 
     def test_closed_stdout_is_zero(self):
         # about 220 kB of output, more than a pipe holds, so the writer is
@@ -463,6 +463,17 @@ class TestIdeal:
             k: payload[k] for k in ("basis", "e", "d", "k", "kg_split")
         }
 
+    def test_completion_over_the_degree_cap_is_two(self, capsys):
+        # the pool of this ideal would hold 200000 elements of up to 200000
+        # coefficients: the call ran for over 5 minutes and reached 3.7 GB;
+        # k completes nothing, so it is not capped
+        start = time.perf_counter()
+        code, out, err = run(capsys, "ideal", "info", "--gens", "z^200000+1,2")
+        elapsed = time.perf_counter() - start
+        assert (code, out, err) == (2, "", "error: a generator of degree 200000 is over the limit of 1024\n")
+        assert elapsed < 1, f"ideal info --gens z^200000+1,2 took {elapsed:.2f}s"
+        assert run(capsys, "ideal", "k", "--gens", "z^200000+1,2") == (0, "k = 0\n", "")
+
     def test_k_reads_e_without_completing(self, capsys, monkeypatch):
         # k is read off e, the gcd of the generators' w-multipliers; completing
         # this ideal first made the call take about 19 s
@@ -730,8 +741,8 @@ def outcome(parse, argv):
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             fields = vars(parse(list(argv)))
-    except ArgparseUsage as exc:
-        return "error", str(exc)
+    except ArgparseUsage as exc:  # argparse quotes tokens raw; cli escapes their line breaks
+        return "error", str(exc).translate(cli._LINE_BREAKS)
     except SystemExit as exc:
         if exc.code:
             assert exc.code == 2 and out.getvalue() == "" and err.getvalue().startswith("error: ")
@@ -758,6 +769,7 @@ def outcome(parse, argv):
 @example(["ring", "eval", "-1 + z"])
 @example(["ring", "eval", "-z"])
 @example(["ring", "eval", "-3\n"])
+@example(["bounds", "definite", "-3\n"])
 @example(["--bogus", "ring", "--json", "eval", "1", "x"])
 @settings(max_examples=400, deadline=None)
 @given(argvs())
@@ -775,6 +787,9 @@ def test_parser_agrees_with_argparse(argv):
             assert code in (0, 2), argv
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert code == {"help": 0, "error": 2}.get(mine[0], code), argv
-    # one error line, but a token with a newline that the message quotes raw
-    # (argparse does the same) spans more
-    assert err.getvalue() == "" if code < 2 else err.getvalue().startswith("error: "), (argv, err.getvalue())
+    # exactly one error line, even where the message quotes a token that
+    # holds a line break
+    if code < 2:
+        assert err.getvalue() == "", argv
+    else:
+        assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())

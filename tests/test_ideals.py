@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from pin2k.ideals import (
+    MAX_DEGREE,
     NoSuchKError,
     NotSwfLikeError,
     NoWitnessBelowCapError,
@@ -27,7 +28,7 @@ from oracles import (
 
 AUG = ideal_from_generators([W, Z])
 
-GOLDEN_FORMS = Path(__file__).parent / "golden" / "ideal_forms.txt"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def gens_to_elems(raw):
@@ -57,6 +58,13 @@ class TestCanonicalForm:
             assert z_power_ideal(k) == ideal_from_generators([z_pow(k)]), k
         with pytest.raises(ValueError, match="^z exponent must be nonnegative$"):
             z_power_ideal(-1)
+
+    def test_generator_degree_cap(self):
+        # a pool of up to MAX_DEGREE elements of up to MAX_DEGREE coefficients
+        assert MAX_DEGREE == 1024
+        assert ideal_from_generators([z_pow(1024), W]).basis[-1] == z_pow(1024)
+        with pytest.raises(ValueError, match="^a generator of degree 1025 is over the limit of 1024$"):
+            ideal_from_generators([z_pow(1025), 2])
 
     def test_generator_order_is_irrelevant(self):
         a = ideal_from_generators([W, Z])
@@ -125,18 +133,43 @@ def golden_form_inputs():
         yield gens_to_elems([shift_raw(g, s) for g in raw])
 
 
-def golden_form_lines():
-    for gens in golden_form_inputs():
+def golden_high_inputs():
+    """The 16 seeded generating sets of golden/ideal_forms_high.txt: one
+    generator of degree 13 to 18 and one or two more of degree at most that,
+    coefficients up to 9 and 1000 in turn."""
+    rng = random.Random(1318)
+    for i in range(16):
+        deg = 13 + i % 6
+        cmax = 1000 if i % 2 else 9
+        lead = rng.choice((-1, 1)) * rng.randint(1, cmax)
+        top = (tuple(rng.randint(-cmax, cmax) for _ in range(deg)) + (lead,), rng.randint(-cmax, cmax))
+        yield gens_to_elems([top] + [random_pair(rng, deg, cmax, cmax) for _ in range(rng.randint(1, 2))])
+
+
+def golden_form_lines(inputs):
+    for gens in inputs:
         yield f"{', '.join(map(str, gens)) or '(none)'}\t{ideal_from_generators(gens)!r}"
 
 
+def golden_forms(name):
+    lines = (GOLDEN / name).read_text().splitlines()
+    return [line for line in lines if not line.startswith("#")]
+
+
 class TestGoldenForms:
+    # the completed form is unique, so any correct completion reproduces the
+    # files, which an earlier version of completion wrote
+
     def test_canonical_forms_match_the_corpus(self):
-        # the completed form is unique, so any correct completion reproduces
-        # the file, which an earlier version of completion wrote
-        expected = [line for line in GOLDEN_FORMS.read_text().splitlines() if not line.startswith("#")]
+        expected = golden_forms("ideal_forms.txt")
         assert len(expected) == 300
-        for i, (got, want) in enumerate(zip(golden_form_lines(), expected)):
+        for i, (got, want) in enumerate(zip(golden_form_lines(golden_form_inputs()), expected)):
+            assert got == want, i
+
+    def test_canonical_forms_match_the_corpus_above_degree_12(self):
+        expected = golden_forms("ideal_forms_high.txt")
+        assert len(expected) == 16
+        for i, (got, want) in enumerate(zip(golden_form_lines(golden_high_inputs()), expected)):
             assert got == want, i
 
 

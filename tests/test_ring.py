@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -318,6 +319,25 @@ class TestHomomorphisms:
     @given(elems)
     def test_w_multiplier_matches_multiplication(self, x):
         assert W * x == RingElem(x.w_multiplier(), ())
+
+    def test_w_multiplier_of_long_polynomials(self):
+        # P(2) splits a long sum into halves; each length below crosses the
+        # point where it stops splitting, or splits unevenly
+        rng = random.Random(65)
+        for n in (63, 64, 65, 66, 127, 128, 129, 130, 257, 1000):
+            for cmax in (1, 2**70):
+                x = RingElem(rng.randint(-9, 9), [rng.randint(-cmax, cmax) for _ in range(n - 1)] + [1])
+                assert x.w_multiplier() == 2 * x.wcoef + sum(c << k for k, c in enumerate(x.poly)), (n, cmax)
+
+    def test_long_products_evaluate_only_what_they_read(self):
+        # P(2) was Horner's rule, quadratic in the degree: these took about
+        # 33 s and 2.3 s; a product with no w-part evaluates neither side
+        start = time.perf_counter()
+        assert parse("z^800000 + 1").w_multiplier() == 2**800000 + 1
+        assert parse("(z^200000 + 1) * 3") == RingElem(0, (3,) + (0,) * 199999 + (3,))
+        assert parse("(z^200000 + 1) * (3 + w)").wcoef == 2**200000 + 1
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1, f"took {elapsed:.2f}s"
 
 
 class TestBasisChange:

@@ -126,22 +126,47 @@ def test_every_method_has_a_caller():
     assert not uncalled, uncalled
 
 
-def test_fields_are_set_in_two_constructors_only():
+def test_fields_are_set_in_three_constructors_only():
     # Record.__init__ binds every record's fields; RingElem, which every ring
-    # operation builds, sets its own.  Nothing else writes past the refusal.
+    # operation builds, sets its own, and its trusted _make binds them through
+    # the slot descriptors' __set__, which ring looks up once into module
+    # names.  Nothing else writes past the refusal: no other __setattr__ or
+    # __set__, and no other use of those module names.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    writers = {
+        target.id
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(n, ast.Attribute) and n.attr == "__set__" for n in ast.walk(node.value))
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
             scope += (node.name,)
-        if isinstance(node, ast.Attribute) and node.attr == "__setattr__":
+        writes = isinstance(node, ast.Attribute) and node.attr in ("__setattr__", "__set__")
+        reads_writer = (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in writers) or (
+            isinstance(node, ast.alias) and node.name in writers
+        )
+        if writes or reads_writer:
             found.append(".".join(scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
-    for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
-    assert set(found) == {"__init__.Record.__init__", "ring.RingElem.__init__"}, found
+    for stem, tree in trees.items():
+        for node in tree.body:
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)] if isinstance(node, ast.Assign) else []
+            visit(node, (stem, *names))
+    assert set(found) == {
+        "__init__.Record.__init__",
+        "ring.RingElem.__init__",
+        "ring._set_wcoef",
+        "ring._set_poly",
+        "ring.RingElem._make",
+    }, found
 
 
 def calls_super_init(function):
