@@ -86,9 +86,8 @@ class RingElem(Record):
     iterable) to int and drops trailing zeros from poly.  A poly that is
     already a tuple of ints without trailing zeros is kept, not copied.  It
     sets the fields itself, not through Record.__init__, since every ring
-    operation builds one.  Powers and the z-shift primitives of completion,
-    whose results are normal forms by construction, build through the
-    unchecked _make instead.
+    operation builds one.  Powers, whose results are normal forms by
+    construction, build through the unchecked _make instead.
     """
 
     __slots__ = ("wcoef", "poly")
@@ -194,24 +193,6 @@ class RingElem(Record):
             if n:
                 base = _poly_mul(base, base)
         return RingElem._make(wpart, poly)
-
-    # -- z-shifts, for ideal completion ---------------------------------------
-
-    def shift(self, s):
-        """z^s * self, which is 2^s*lam*w + z^s*P."""
-        return RingElem._make(self.wcoef << s, (0,) * s + self.poly if self.poly else ())
-
-    def sub_shifted(self, q, f, s):
-        """self - q*z^s*f for an integer q, in one pass over the coefficients."""
-        if not q:
-            return self
-        out = list(self.poly)
-        top = len(f.poly) + s
-        if len(out) < top:
-            out.extend([0] * (top - len(out)))
-        for i, c in enumerate(f.poly, s):
-            out[i] -= q * c
-        return RingElem._make(self.wcoef - (q * f.wcoef << s), _strip(out))
 
     # -- homomorphisms and the w-line ---------------------------------------
 

@@ -1,7 +1,11 @@
 import random
+import re
+from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pin2k.ideals import (
     MAX_DEGREE,
@@ -12,6 +16,7 @@ from pin2k.ideals import (
     ideal_from_generators,
     ideal_product,
     ideal_sum,
+    xgcd,
     z_power_ideal,
 )
 from pin2k.ring import ONE, W, Z, RingElem, parse, w_pow, z_pow
@@ -51,6 +56,28 @@ class TestCanonicalForm:
         form = ideal_from_generators([parse("z^2"), parse("2*z"), parse("4")])
         assert [str(b) for b in form.basis] == ["4*w", "4", "2*z", "z^2"]
         assert (form.e, form.d) == (4, 4)
+
+    def test_one_form_per_w_line_branch(self):
+        # completion carries the w-line as one bit, beta = c/e mod 2, and
+        # reads d off it at the end: d = e (odd or even), d = e/2 when some
+        # element reduced to (0, 1), and d = 0 when e = 0
+        cases = {
+            "3": "IdealForm(basis=(RingElem(3*w), RingElem(3)), e=3, d=3)",
+            "z^2, 2*z, 4": "IdealForm(basis=(RingElem(4*w), RingElem(4), RingElem(2*z), RingElem(z^2)), e=4, d=4)",
+            "w, z": "IdealForm(basis=(RingElem(w), RingElem(z)), e=2, d=1)",
+            "z - 2": "IdealForm(basis=(RingElem(-2 + z),), e=0, d=0)",
+            "": "IdealForm(basis=(), e=0, d=0)",
+        }
+        for text, want in cases.items():
+            assert repr(ideal_from_generators([parse(t) for t in text.split(",") if t])) == want, text
+
+    def test_golden_corpus_covers_every_nonzero_w_line_branch(self):
+        branches = set()
+        for line in golden_forms("ideal_forms.txt") + golden_forms("ideal_forms_high.txt"):
+            e, d = map(int, re.search(r"e=(\d+), d=(\d+)\)$", line).groups())
+            if "basis=()" not in line:
+                branches.add("e = 0" if not e else "d = e/2" if 2 * d == e else f"d = e {('even', 'odd')[e % 2]}")
+        assert branches == {"d = e odd", "d = e even", "d = e/2", "e = 0"}, branches
 
     def test_z_power_ideal_matches_completion(self):
         # z_power_ideal writes (z^k) down in closed form, without completing it
@@ -119,6 +146,20 @@ class TestCanonicalForm:
                 assert ideal_member_oracle(raw, (b.poly, b.wcoef)), (raw, b)
             for g in gens:
                 assert form.contains(g), (raw, g)
+
+
+big = st.integers(min_value=-(2**600), max_value=2**600)
+
+
+@given(big, big.filter(bool))
+@example(6, 3)  # |b| == g, so the modulus is 1
+@example(6, -3)
+@example(0, -5)
+@example(-7, 12)
+@example(9, 9)
+def test_xgcd_cofactors(a, b):
+    x, y, g = xgcd(a, b)
+    assert x * a + y * b == g == gcd(a, b) >= 0
 
 
 def golden_form_inputs():

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from pin2k.ring import (
@@ -231,46 +231,11 @@ class TestArithmetic:
 
 
 def assert_normal(x):
-    # the trusted constructor binds what it is given, so the shift primitives
-    # must hand it the normal form the validating constructor would build
+    # the trusted constructor binds what it is given, so the powers built
+    # through it must hand it the normal form the validating constructor would
     assert type(x.wcoef) is int and type(x.poly) is tuple
     assert all(type(c) is int for c in x.poly) and (not x.poly or x.poly[-1] != 0)
     assert x == RingElem(x.wcoef, x.poly)
-
-
-class TestShiftPrimitives:
-    # q over all integers draws 0, negative and multi-word multipliers
-    shifts = st.integers(min_value=0, max_value=6)
-
-    @given(elems, shifts)
-    @example(ZERO, 3)
-    @example(W, 2)
-    @example(RingElem(-5, (1, 2)), 0)
-    def test_shift_is_a_power_of_z(self, x, s):
-        got = x.shift(s)
-        assert got == z_pow(s) * x
-        assert_normal(got)
-
-    @given(elems, st.integers(), elems, shifts)
-    @example(RingElem(3, (1, 2)), 0, Z, 2)
-    @example(ZERO, -4, W, 3)
-    @example(W, 7, ZERO, 0)
-    @example(ZERO, 1, ZERO, 0)
-    @example(RingElem(0, (0, 0, 5)), 5, Z, 1)  # x becomes 0
-    def test_sub_shifted_is_the_ring_expression(self, x, q, f, s):
-        got = x.sub_shifted(q, f, s)
-        assert got == x - q * (z_pow(s) * f)
-        assert_normal(got)
-
-    @given(elems, st.integers().filter(bool), elems.filter(lambda f: f.poly), shifts)
-    @example(RingElem(2, (0, 4)), -3, RingElem(1, (1, 1)), 1)
-    def test_sub_shifted_cancels_the_leading_terms(self, r, q, f, s):
-        # x = r + q*z^s*f with r of any degree, so the leading terms of x
-        # cancel whenever r is shorter, and the result must drop them
-        x = r + q * (z_pow(s) * f)
-        got = x.sub_shifted(q, f, s)
-        assert got == r
-        assert_normal(got)
 
 
 class TestHomomorphisms:

@@ -60,13 +60,13 @@ def test_every_cache_is_bounded():
     assert not found, found
 
 
-def test_trusted_constructor_stays_in_ring_and_ideals():
+def test_trusted_constructor_stays_in_ring():
     # RingElem._make binds its arguments unchecked, so only the ring
-    # operations and completion may call it; the parser, the CLI and every
-    # other layer build elements through the validating constructor
+    # operations may call it; completion, the parser, the CLI and every other
+    # layer build elements through the validating constructor
     sites = nodes(lambda node: isinstance(node, ast.Attribute) and node.attr == "_make")
-    assert any(site.startswith("ideals.py:") for site in sites), sites
-    outside = [site for site in sites if site.split(":")[0] not in ("ring.py", "ideals.py")]
+    assert sites, sites
+    outside = [site for site in sites if not site.startswith("ring.py:")]
     assert not outside, outside
 
 
