@@ -25,8 +25,8 @@ class Record:
     in its own __init__, which then calls super().__init__.  Instances are
     equal only to instances of the same class with equal fields, hash by
     their fields, print as Name(field=value, ...), and refuse assignment and
-    deletion; _replace returns a copy with some fields changed, validated by
-    __init__ again.
+    deletion; _asdict returns the fields by name, and _replace a copy with
+    some fields changed, validated by __init__ again.
     """
 
     __slots__ = ()
@@ -77,10 +77,11 @@ class Record:
         # copy and pickle rebuild through __init__, since __setattr__ refuses
         return type(self), self._values()
 
+    def _asdict(self):
+        return {name: getattr(self, name) for name in self.__slots__}
+
     def _replace(self, **changes):
-        fields = dict(zip(self.__slots__, self._values()))
-        fields.update(changes)
-        return type(self)(**fields)
+        return type(self)(**{**self._asdict(), **changes})
 
 
 _HOMES = {
@@ -97,6 +98,7 @@ _HOMES = {
         "emit_xi_table",
         "furuta_closed",
         "orbifold_bound",
+        "parse_chain",
         "parse_manifold",
         "relative_10_8",
         "rokhlin_consistency",

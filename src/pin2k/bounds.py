@@ -15,9 +15,8 @@ convention that xi maximizes p - q over forms with at least one hyperbolic
 summand.
 """
 
-from __future__ import annotations
-
 import re
+import sys
 from enum import Enum
 
 from . import Pin2kError, Record
@@ -209,6 +208,72 @@ def canonical_bauer_chain(r, non_split_at=None):
         split = non_split_at != i
         chain.append((IntersectionForm(2, 3), BoundaryData(0, split, f"Y{i}")))
     chain.append((IntersectionForm(2, 2), None))
+    return chain
+
+
+# The JSON kind of each field that a chain spells, and how messages name it.
+_JSON_KINDS = {"p": int, "q": int, "kappa": int, "kg_split": bool, "name": str}
+_KIND_NAMES = {int: "an integer", bool: "a boolean", str: "a string"}
+
+
+def _record_from_json(cls, obj, where, *extra_keys):
+    """The cls record whose fields the JSON object obj spells, by name;
+    fields in cls._defaults may be left out, and extra_keys may appear too."""
+    if not isinstance(obj, dict):
+        raise MalformedChainError(f"{where} is not an object")
+    for key in obj:
+        if key not in cls.__slots__ and key not in extra_keys:
+            raise MalformedChainError(f"{where}: unknown key {key!r}")
+    fields = []
+    for key in cls.__slots__:
+        if key not in obj and key not in cls._defaults:
+            raise MalformedChainError(f"{where}: {key!r} is missing")
+        value, kind = obj.get(key, cls._defaults.get(key)), _JSON_KINDS[key]
+        if type(value) is not kind:  # rejects true/false where an integer belongs
+            raise MalformedChainError(f"{where}: {key!r} must be {_KIND_NAMES[kind]}")
+        fields.append(value)
+    return cls(*fields)
+
+
+def _unique_keys(pairs):
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise MalformedChainError(f"bad chain JSON: repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def parse_chain(text):
+    """The chain that a JSON text spells, for bauer_chain_check.
+
+    The text must be a list of objects with the fields of IntersectionForm
+    and an optional "boundary": null, or an object with the fields of
+    BoundaryData, "name" optional.  The keys must match exactly: any other
+    key, a misspelt one say, or a repeated one, raises MalformedChainError
+    rather than being ignored, as does anything else malformed.
+    """
+    import json
+
+    try:
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as err:
+        raise MalformedChainError(f"bad chain JSON: {err}") from None
+    except RecursionError:
+        raise MalformedChainError("bad chain JSON: nested too deeply") from None
+    except ValueError:  # the only other ValueError json raises: an integer over the digit limit
+        limit = sys.get_int_max_str_digits()
+        raise MalformedChainError(f"bad chain JSON: an integer has more than {limit} digits") from None
+    if not isinstance(raw, list):
+        raise MalformedChainError("chain must be a JSON list of {p, q, boundary} objects")
+    chain = []
+    for i, entry in enumerate(raw):
+        where = f"chain entry {i}"
+        form = _record_from_json(IntersectionForm, entry, where, "boundary")
+        boundary = entry.get("boundary")
+        if boundary is not None:
+            boundary = _record_from_json(BoundaryData, boundary, f"boundary of {where}")
+        chain.append((form, boundary))
     return chain
 
 

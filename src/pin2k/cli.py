@@ -14,8 +14,6 @@ argparse's rules and messages but not argparse, and the process ends in
 run() without the interpreter's teardown.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 
@@ -284,36 +282,20 @@ def _cmd_bounds(args):
 _XI = {"table": [], "show": [("manifold", {"help": 'e.g. "Sigma(2,3,11)", "-Sigma(2,3,12n-5)", "S3"'})]}
 
 
-def _xi_row_payload(row):
-    return {
-        "manifold": row.manifold.label(),
-        "lower": row.lower,
-        "upper_filling": row.upper_filling,
-        "upper_orbifold": row.upper_orbifold,
-        "upper_kappa": row.upper_kappa,
-        "upper": row.upper,
-        "exact": row.exact,
-    }
-
-
 def _cmd_xi(args):
     from . import bounds as fb
 
-    if args.action == "table":
-        if args.json:
-            import json
-
-            rows = [_xi_row_payload(r) for r in fb.xi_table_rows()]
-            print(json.dumps({"rows": rows}, sort_keys=True))
-        else:
-            sys.stdout.write(fb.emit_xi_table())
+    if args.action == "table" and not args.json:
+        sys.stdout.write(fb.emit_xi_table())
         return 0
-    row = fb.xi_bounds(args.manifold)
-    payload = _xi_row_payload(row)
-    if row.exact is not None:
-        text = f"xi({row.manifold.label()}) = {row.exact}"
+    rows = fb.xi_table_rows() if args.action == "table" else [fb.xi_bounds(args.manifold)]
+    payloads = [{**row._asdict(), "manifold": row.manifold.label()} for row in rows]
+    if args.action == "table":
+        text, payload = None, {"rows": payloads}
     else:
-        text = f"xi({row.manifold.label()}) in [{row.lower}, {row.upper}]"
+        (row,), (payload,) = rows, payloads
+        value = f"= {row.exact}" if row.exact is not None else f"in [{row.lower}, {row.upper}]"
+        text = f"xi({payload['manifold']}) {value}"
     _emit(args, text, payload)
     return 0
 
@@ -328,72 +310,6 @@ _BAUER = {
     "check": [("--chain", {"required": True, "help": "JSON list of {p, q, boundary} entries"})],
 }
 
-_JSON_KINDS = {int: "an integer", bool: "a boolean", str: "a string"}
-
-
-def _chain_from_json(text):
-    """The chain a --chain argument spells; MalformedChainError unless it is a
-    list of {"p": int, "q": int, "boundary": null or {"kappa": int,
-    "kg_split": bool, "name": str}} objects ("boundary" and "name" optional).
-    The keys must match exactly: any other key, a misspelt one say, or a
-    repeated one, is an error rather than ignored."""
-    import json
-
-    from . import bounds as fb
-
-    def check_keys(obj, keys, where):
-        for key in obj:
-            if key not in keys:
-                raise fb.MalformedChainError(f"{where}: unknown key {key!r}")
-
-    def unique_keys(pairs):
-        obj = {}
-        for key, value in pairs:
-            if key in obj:
-                raise fb.MalformedChainError(f"bad chain JSON: repeated key {key!r}")
-            obj[key] = value
-        return obj
-
-    def field(obj, key, kind, where, default=None):
-        if key not in obj and default is None:
-            raise fb.MalformedChainError(f"{where}: {key!r} is missing")
-        value = obj.get(key, default)
-        if type(value) is not kind:  # rejects true/false where an integer belongs
-            raise fb.MalformedChainError(f"{where}: {key!r} must be {_JSON_KINDS[kind]}")
-        return value
-
-    try:
-        raw = json.loads(text, object_pairs_hook=unique_keys)
-    except json.JSONDecodeError as err:
-        raise fb.MalformedChainError(f"bad chain JSON: {err}") from None
-    except RecursionError:
-        raise fb.MalformedChainError("bad chain JSON: nested too deeply") from None
-    except ValueError:  # the only other ValueError json raises: an integer over the digit limit
-        limit = sys.get_int_max_str_digits()
-        raise fb.MalformedChainError(f"bad chain JSON: an integer has more than {limit} digits") from None
-    if not isinstance(raw, list):
-        raise fb.MalformedChainError("chain must be a JSON list of {p, q, boundary} objects")
-    chain = []
-    for i, entry in enumerate(raw):
-        where = f"chain entry {i}"
-        if not isinstance(entry, dict):
-            raise fb.MalformedChainError(f"{where} is not an object")
-        check_keys(entry, ("p", "q", "boundary"), where)
-        form = fb.IntersectionForm(field(entry, "p", int, where), field(entry, "q", int, where))
-        boundary = entry.get("boundary")
-        if boundary is not None:
-            where = f"boundary of {where}"
-            if not isinstance(boundary, dict):
-                raise fb.MalformedChainError(f"{where} is not an object")
-            check_keys(boundary, ("kappa", "kg_split", "name"), where)
-            boundary = fb.BoundaryData(
-                field(boundary, "kappa", int, where),
-                field(boundary, "kg_split", bool, where),
-                field(boundary, "name", str, where, default=""),
-            )
-        chain.append((form, boundary))
-    return chain
-
 
 def _cmd_bauer(args):
     from . import bounds as fb
@@ -401,21 +317,12 @@ def _cmd_bauer(args):
     if args.action == "canonical":
         chain = fb.canonical_bauer_chain(args.pieces, args.non_split_boundary)
     else:  # check
-        chain = _chain_from_json(args.chain)
+        chain = fb.parse_chain(args.chain)
     verdict = fb.bauer_chain_check(chain)
-    extra = {
-        "chain": [
-            {
-                "p": form.p,
-                "q": form.q,
-                "boundary": None
-                if boundary is None
-                else {"kappa": boundary.kappa, "kg_split": boundary.kg_split, "name": boundary.name},
-            }
-            for form, boundary in chain
-        ]
-    }
-    return _verdict_result(args, verdict, extra)
+    if not args.json:  # only the JSON echoes the chain
+        return _verdict_result(args, verdict)
+    echo = [{**form._asdict(), "boundary": None if b is None else b._asdict()} for form, b in chain]
+    return _verdict_result(args, verdict, {"chain": echo})
 
 
 # -- parser ----------------------------------------------------------------------------

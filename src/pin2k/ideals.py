@@ -38,8 +38,6 @@ Z[z] generated by the polynomial parts; so lam*z^k + mu*w lies in the ideal
 for some mu iff lam*z^k lies in J.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_right
 from math import gcd
 

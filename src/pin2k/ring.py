@@ -11,8 +11,6 @@ The two generator sets {w, z} and {c~, h} are related by w = 1 - c~ and
 z = 2 - h.  The parser accepts both; storage is always in {w, z}.
 """
 
-from __future__ import annotations
-
 import sys
 from itertools import compress
 from math import comb

@@ -22,8 +22,6 @@ representation of real dimension r is an r-fold ordinary suspension on a
 free space), which is what makes the duality bookkeeping below work.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 

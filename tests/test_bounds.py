@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from pin2k.bounds import (
@@ -15,6 +17,7 @@ from pin2k.bounds import (
     definite_bound,
     furuta_closed,
     orbifold_bound,
+    parse_chain,
     parse_manifold,
     relative_10_8,
     rokhlin_consistency,
@@ -140,6 +143,17 @@ class TestBauerChains:
         assert bauer_chain_check(chain) == Verdict(Status.INAPPLICABLE, "boundary Y2 is not split")
         chain[1] = (IntersectionForm(2, 3), BoundaryData(0, True, "Y2"))
         assert bauer_chain_check(chain) == Verdict(Status.VIOLATED, "0 + 1 >= 0 + 9 + 1")
+
+    def test_parse_chain_reads_each_record_by_its_fields(self):
+        # an entry's keys are IntersectionForm's fields and "boundary", a
+        # boundary's are BoundaryData's with "name" optional; so a chain's
+        # records, written out by _asdict, read back as the same chain
+        chain = canonical_bauer_chain(3, non_split_at=2)
+        echo = [{**form._asdict(), "boundary": None if b is None else b._asdict()} for form, b in chain]
+        assert parse_chain(json.dumps(echo)) == chain
+        assert parse_chain('[{"q": 3, "p": 2, "boundary": {"kg_split": false, "kappa": -1}}]') == [
+            (IntersectionForm(2, 3), BoundaryData(-1, False))
+        ]
 
     def test_malformed(self):
         with pytest.raises(MalformedChainError):

@@ -99,21 +99,26 @@ class TestCanonicalForm:
         assert a == b
 
     def test_rearranged_generating_sets_share_the_form(self):
+        # the form depends only on the ideal: permuting the generators,
+        # replacing g by g + r*h for a ring element r, and adding members
+        # leave it unchanged.  One form per draw is checked against the oracles
         rng = random.Random(99)
         for _ in range(200):
-            raw = random_generator_set(rng)
+            raw = random_generator_set(rng, max_deg=8)
             gens = gens_to_elems(raw)
             form = ideal_from_generators(gens)
-            # rewrite the set: shuffle, duplicate, and mix by ring multiples
             mixed = list(gens)
             rng.shuffle(mixed)
             if len(mixed) >= 2:
-                q = RingElem(rng.randint(-2, 2), (rng.randint(-2, 2),))
-                mixed[0] = mixed[0] + q * mixed[1]
+                r = RingElem(rng.randint(-2, 2), tuple(rng.randint(-2, 2) for _ in range(rng.randint(2, 4))))
+                mixed[0] = mixed[0] + r * mixed[1]
+                mixed.append(random_combination(rng, raw[:2]))
             if mixed:
                 mixed.append(Z * mixed[-1])
-            other = ideal_from_generators(mixed)
-            assert form == other, (gens, mixed)
+            assert ideal_from_generators(mixed) == form, (gens, mixed)
+            assert form.e == wmult_subgroup_oracle(raw), raw
+            for b in form.basis:
+                assert ideal_member_oracle(raw, (b.poly, b.wcoef)), (raw, b)
 
     def test_subgroup_invariants(self):
         rng = random.Random(5)
@@ -175,13 +180,14 @@ def golden_form_inputs():
 
 
 def golden_high_inputs():
-    """The 16 seeded generating sets of golden/ideal_forms_high.txt: one
+    """The 28 seeded generating sets of golden/ideal_forms_high.txt: one
     generator of degree 13 to 18 and one or two more of degree at most that,
-    coefficients up to 9 and 1000 in turn."""
+    coefficients up to 9 and 1000 in turn; then twelve more of the same shape
+    with a top degree of 19 to 24 and coefficients up to 9."""
     rng = random.Random(1318)
-    for i in range(16):
-        deg = 13 + i % 6
-        cmax = 1000 if i % 2 else 9
+    for i in range(28):
+        deg = 13 + i % 6 if i < 16 else 19 + i % 6
+        cmax = 1000 if i % 2 and i < 16 else 9
         lead = rng.choice((-1, 1)) * rng.randint(1, cmax)
         top = (tuple(rng.randint(-cmax, cmax) for _ in range(deg)) + (lead,), rng.randint(-cmax, cmax))
         yield gens_to_elems([top] + [random_pair(rng, deg, cmax, cmax) for _ in range(rng.randint(1, 2))])
@@ -209,7 +215,7 @@ class TestGoldenForms:
 
     def test_canonical_forms_match_the_corpus_above_degree_12(self):
         expected = golden_forms("ideal_forms_high.txt")
-        assert len(expected) == 16
+        assert len(expected) == 28
         for i, (got, want) in enumerate(zip(golden_form_lines(golden_high_inputs()), expected)):
             assert got == want, i
 

@@ -17,7 +17,7 @@ import sys
 from pin2k import cli
 if sys.argv[1:]:
     cli.main(sys.argv[1:])
-watched = ("json", "dataclasses", "inspect", "argparse", "gettext", "locale")
+watched = ("json", "dataclasses", "inspect", "argparse", "gettext", "locale", "__future__")
 print(" ".join(sorted(m for m in sys.modules if m.startswith("pin2k") or m in watched)))
 """
 
@@ -42,6 +42,7 @@ def loaded_modules(*argv):
         (("ideal", "info", "--gens", "w,z"), {"ring", "ideals"}),
         (("bounds", "furuta", "--p", "2", "--q", "3"), {"bounds"}),
         (("bauer", "canonical", "--pieces", "3"), {"bounds"}),
+        (("bauer", "check", "--chain", '[{"p": 2, "q": 3}]'), {"bounds"}),
         (("brieskorn", "kappa", "2", "3", "11"), {"spectra"}),
         (("xi", "show", "S3"), {"spectra", "bounds"}),
         (("brieskorn", "class", "2", "3", "13", "--orient", "-"), {"spectra"}),
@@ -50,9 +51,12 @@ def loaded_modules(*argv):
     ],
 )
 def test_each_command_loads_only_its_layers(argv, layers):
-    # no path may load dataclasses, inspect, argparse, gettext or locale:
-    # all are start-up cost only
+    # no path may load dataclasses, inspect, argparse, gettext, locale or
+    # __future__: all are start-up cost only.  json comes with --json, and
+    # with --chain, whose argument is JSON
     expected = {"pin2k", "pin2k.cli"} | {f"pin2k.{layer}" for layer in layers}
+    if "--chain" in argv:
+        expected.add("json")
     assert loaded_modules(*argv) == expected
     if argv:
         assert loaded_modules(*argv, "--json") == expected | {"json"}
