@@ -47,10 +47,8 @@ class Record:
             if missing:
                 raise TypeError(f"{cls}() missing required argument {missing[0]!r}")
             args = [fields[key] for key in names]
-        i = 0  # indexing, not zip: dual() builds a FreeCell per cell
-        for name in names:
-            object.__setattr__(self, name, args[i])
-            i += 1
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
 
     def _values(self):
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -108,7 +106,6 @@ _HOMES = {
     "ideals": ("IdealForm", "ideal_from_generators", "ideal_product", "ideal_sum"),
     "ring": ("LaurentElem", "RingElem", "parse"),
     "spectra": (
-        "FreeCell",
         "GroupSuspension",
         "RepSphere",
         "SpectrumClass",

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 for satisfied verdicts and successful computations, 1 for a
-violated verdict, 2 for usage or domain errors, 3 for an internal error.
+violated verdict, 2 for usage or domain errors and for running out of
+memory, 3 for an internal error.
 Each (command, action) pair takes the arguments that its table declares,
 and --json, after the action; table and JSON output carry the same numbers.
 The environment variable PIN2K_KMAX overrides the search cap used by ideal
@@ -174,7 +175,7 @@ def _brieskorn_payload(m, orientation):
     return {
         "brieskorn": [2, 3, m],
         "orientation": orientation,
-        "blocks": cls.labels(),
+        "blocks": cls.space.labels(),
         "m": cls.m,
         "n": str(cls.n),
         "kappa": _frac_json(cls.kappa()),
@@ -530,6 +531,8 @@ def main(argv=None):
                 "the output limit (set PYTHONINTMAXSTRDIGITS to raise it)"
             )
         return _usage_error(message)
+    except MemoryError:  # too large an input, not a bug
+        return _usage_error("out of memory")
     except Exception as err:  # a bug, not a verdict: keep it off exit codes 1 and 2
         print(f"internal error: {type(err).__name__}: {err}".translate(_LINE_BREAKS), file=sys.stderr)
         return 3

@@ -21,10 +21,11 @@ from . import Pin2kError, Record
 # give its w-part.  `(1+z)^2046` takes about 1.6 s at this cap.
 MAX_POWER_BITS = 2**22
 
-# Bound on the schoolbook work of P^n, nonzero coefficients of one factor
-# times coefficients of the other times bits, which a denser base reaches
-# first: `(1 + z + ... + z^255)^45` (12 s) and `(1 + z + ... + z^15)^264`
-# (3.5 s) are over it, `(1+z)^2046` (2047^3) just under it.
+# Bound on the schoolbook work of P^n, and of a product in the grammar,
+# nonzero coefficients of one factor times coefficients of the other times
+# bits, which a denser base reaches first: `(1 + z + ... + z^255)^45` (12 s)
+# and `(1 + z + ... + z^15)^264` (3.5 s) are over it, `(1+z)^2046` (2047^3)
+# just under it, and `(1+z)^2046*(1+z)^2046` (18 s) over it.
 MAX_POWER_WORK = 2**33
 
 # Bound on the work of restrict_s1: the sum over the nonzero coefficients c_k
@@ -157,10 +158,10 @@ class RingElem(Record):
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        # P^n by squaring.  The w-part follows from w*x^n = w_multiplier(x)^n*w
-        # and w*P^n = P(2)^n*w; the difference is even since
-        # w_multiplier(x) = 2*lam + P(2).
+    def _power_bounds(self, n):
+        """Checks x^n against both caps before anything is multiplied and returns
+        bounds on the length, the nonzero coefficients and the coefficient bits
+        of its polynomial part."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         p2 = _at_two(self.poly)
@@ -172,17 +173,27 @@ class RingElem(Record):
         bits = size * coef_bits + n * (max(abs(wmul), abs(p2), 1) - 1).bit_length()
         if bits > MAX_POWER_BITS:
             raise ValueError(f"a power of up to {bits} bits is over the limit of {MAX_POWER_BITS}")
-        wpart = (wmul**n - p2**n) // 2
+        # each product of the squaring pairs the nonzero coefficients of one
+        # factor, of which a power P^k of a t-term P has at most C(t + k - 1, k),
+        # with at most `size` of the other, all of at most `coef_bits` bits; a
+        # monomial's one term keeps this under the bits cap
+        terms = len(self.poly) - self.poly.count(0)
+        terms = min(size, comb(terms + n - 1, n) if terms else 1)
+        work = terms * size * coef_bits
+        if work > MAX_POWER_WORK:
+            raise ValueError(f"a power of work {work} is over the limit of {MAX_POWER_WORK}")
+        return size, terms, coef_bits
+
+    def __pow__(self, n):
+        # P^n by squaring.  The w-part follows from w*x^n = w_multiplier(x)^n*w
+        # and w*P^n = P(2)^n*w; the difference is even since
+        # w_multiplier(x) = 2*lam + P(2).
+        self._power_bounds(n)
+        p2 = _at_two(self.poly)
+        wpart = ((2 * self.wcoef + p2) ** n - p2**n) // 2
         if self.poly and not any(self.poly[:-1]):
             # c*z^m, whose power c^n*z^(mn) needs no product
             return RingElem._make(wpart, (0,) * (n * self.degree) + (self.poly[-1] ** n,))
-        # each product below pairs the nonzero coefficients of one factor, of
-        # which a power P^k of a t-term P has at most C(t + k - 1, k), with
-        # at most `size` of the other, all of at most `coef_bits` bits
-        terms = len(self.poly) - self.poly.count(0)
-        work = min(size, comb(terms + n - 1, n) if terms else 1) * size * coef_bits
-        if work > MAX_POWER_WORK:
-            raise ValueError(f"a power of work {work} is over the limit of {MAX_POWER_WORK}")
         poly, base = (1,), self.poly
         while n:
             if n & 1:
@@ -425,20 +436,36 @@ def _parse_sum(toks):
     return value
 
 
+def _factor(x):
+    """x as a factor of a product: a thunk and the length, the nonzero
+    coefficients and the coefficient bits of its polynomial part.  A power
+    is parsed into its thunk and the bounds on these, so that a product is
+    refused before its factors' powers are taken."""
+    p = x.poly
+    return (lambda: x), len(p), len(p) - p.count(0), max(map(abs, p), default=0).bit_length()
+
+
 def _parse_product(toks):
-    value = _parse_unary(toks)
+    make, _, terms, bits = _parse_unary(toks)
     while toks.peek()[0] == "*":
         toks.next()
-        value = value * _parse_unary(toks)
-    return value
+        make_rhs, length_rhs, _, bits_rhs = _parse_unary(toks)
+        # the schoolbook work of P*Q, as for powers: each nonzero coefficient of
+        # P meets every coefficient of Q, and a coefficient of P*Q sums at most
+        # len(Q) such products
+        work = terms * length_rhs * (bits + bits_rhs + length_rhs.bit_length())
+        if work > MAX_POWER_WORK:
+            raise ValueError(f"a product of work {work} is over the limit of {MAX_POWER_WORK}")
+        make, _, terms, bits = _factor(make() * make_rhs())
+    return make()
 
 
 def _parse_unary(toks):
     if toks.peek()[0] == "-":
         toks.enter(toks.next()[2])
-        value = -_parse_unary(toks)
+        make, *bounds = _parse_unary(toks)
         toks.depth -= 1
-        return value
+        return (lambda: -make()), *bounds
     return _parse_power(toks)
 
 
@@ -446,9 +473,11 @@ def _parse_power(toks):
     value = _parse_atom(toks)
     while toks.peek()[0] == "^":
         toks.next()
-        tok = toks.expect("int")
-        value = value ** tok[1]
-    return value
+        n = toks.expect("int")[1]
+        if toks.peek()[0] != "^":  # the last power waits for its product's check
+            return (lambda: value**n), *value._power_bounds(n)
+        value = value**n
+    return _factor(value)
 
 
 def _parse_atom(toks):

@@ -6,7 +6,8 @@ A space is a wedge of one non-free base block with finitely many free cells:
                      plus l copies of the quaternions;
   GroupSuspension    unreduced suspension of the group acting on itself;
   TorusSuspension    unreduced suspension of the embedded torus orbit;
-  FreeCell(a)        wedge summand S^a smashed with the free orbit (G_+).
+  free cell a        wedge summand S^a smashed with the free orbit (G_+),
+                     stored as its degree a and printed as "S^a G+".
 
 The base blocks carry their own suspension pair (t, l).  A spectrum class is
 a triple (space, m, n): the space formally de-suspended m times by the sign
@@ -81,13 +82,6 @@ def _susp_label(name, t, l):
     return prefix + name
 
 
-class FreeCell(Record):
-    __slots__ = ("a",)
-
-    def label(self):
-        return f"S^{self.a} G+"
-
-
 class SwfSpace(Record):
     __slots__ = ("base", "free")
 
@@ -95,8 +89,8 @@ class SwfSpace(Record):
         if not isinstance(base, _Block):
             raise UnsupportedBlockError(f"unsupported base block {base!r}")
         free = tuple(free)
-        if not all(isinstance(c, FreeCell) for c in free):
-            raise UnsupportedBlockError("free summands must be FreeCell blocks")
+        if not all(type(a) is int for a in free):
+            raise UnsupportedBlockError("free cells must be int degrees")
         super().__init__(base, free)
 
     @property
@@ -104,7 +98,7 @@ class SwfSpace(Record):
         return 2 * self.base.t
 
     def labels(self):
-        return [self.base.label()] + [c.label() for c in self.free]
+        return [self.base.label()] + [f"S^{a} G+" for a in self.free]
 
 
 def ideal_of(space: SwfSpace):
@@ -121,10 +115,6 @@ def ideal_of(space: SwfSpace):
 
 def k_of(space: SwfSpace) -> int:
     return space.base.l if isinstance(space.base, RepSphere) else space.base.l + 1
-
-
-REP_CTILDE = "c~"
-REP_H = "h"
 
 
 class SpectrumClass(Record):
@@ -151,31 +141,19 @@ class SpectrumClass(Record):
 
     # -- suspension bookkeeping --------------------------------------------------
 
-    def suspend(self, rep, count=1):
-        """Genuinely suspend the underlying space count times by rep."""
-        if count < 0:
-            raise ValueError("count must be nonnegative")
-        base = self.space.base
-        if rep == REP_H:
-            base = base._replace(l=base.l + count)
-            shift = 4 * count
-        elif rep == REP_CTILDE:
-            base = base._replace(t=base.t + count)
-            shift = 2 * count
-        else:
-            raise ValueError(f"unknown representation {rep!r}")
-        free = tuple(FreeCell(c.a + shift) for c in self.space.free)
-        return SpectrumClass(SwfSpace(base, free), self.m, self.n)
+    def suspend(self, t=0, l=0):
+        """Genuinely suspend the underlying space by t sign planes plus l quaternions."""
+        if t < 0 or l < 0:
+            raise ValueError("suspension counts must be nonnegative")
+        base, shift = self.space.base, 2 * t + 4 * l
+        free = tuple(a + shift for a in self.space.free)
+        return SpectrumClass(SwfSpace(base._replace(t=base.t + t, l=base.l + l), free), self.m, self.n)
 
-    def desuspend(self, rep, count=1):
-        """Formally de-suspend count times by rep (bumps the (m, n) indices)."""
-        if count < 0:
-            raise ValueError("count must be nonnegative")
-        if rep == REP_H:
-            return SpectrumClass(self.space, self.m, self.n + count)
-        if rep == REP_CTILDE:
-            return SpectrumClass(self.space, self.m + count, self.n)
-        raise ValueError(f"unknown representation {rep!r}")
+    def desuspend(self, t=0, l=0):
+        """Formally de-suspend by t sign planes plus l quaternions (bumps m and n)."""
+        if t < 0 or l < 0:
+            raise ValueError("suspension counts must be nonnegative")
+        return SpectrumClass(self.space, self.m + t, self.n + l)
 
     def normalize(self):
         """Canonical representative: base suspensions pushed into (m, n)."""
@@ -184,7 +162,7 @@ class SpectrumClass(Record):
         if t == 0 and l == 0:
             return self
         stripped = base._replace(t=0, l=0)
-        free = tuple(FreeCell(c.a - 2 * t - 4 * l) for c in self.space.free)
+        free = tuple(a - 2 * t - 4 * l for a in self.space.free)
         return SpectrumClass(SwfSpace(stripped, free), self.m - t, self.n - l)
 
     def dual(self):
@@ -206,17 +184,14 @@ class SpectrumClass(Record):
         new_m = -cls.m
         new_n = n_offset - cls.n
         cells = []
-        for cell in cls.space.free:
-            c = Fraction(cell.a) - 2 * cls.m - 4 * cls.n
+        for a in cls.space.free:
+            c = Fraction(a) - 2 * cls.m - 4 * cls.n
             cprime = -1 - c
             a_new = cprime + 2 * new_m + 4 * new_n
             if a_new.denominator != 1:
                 raise UnsupportedBlockError("free cell degree is not integral after duality")
-            cells.append(FreeCell(int(a_new)))
+            cells.append(int(a_new))
         return SpectrumClass(SwfSpace(dual_base, tuple(cells)), new_m, new_n)
-
-    def labels(self):
-        return self.space.labels()
 
 
 def s3_class() -> SpectrumClass:
@@ -279,7 +254,7 @@ def brieskorn_class(m, orientation="+") -> SpectrumClass:
     """
     family, index = _checked_family(m, orientation)
     _, base, n, degree, extra = FAMILIES[family]
-    cls = SpectrumClass(SwfSpace(base, (FreeCell(degree),) * (index + extra)), 0, n)
+    cls = SpectrumClass(SwfSpace(base, (degree,) * (index + extra)), 0, n)
     return cls if orientation == "+" else cls.dual()
 
 

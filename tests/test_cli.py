@@ -67,6 +67,14 @@ class TestExitCodes:
         code, out, err = run(capsys, "ring", "eval", "1")
         assert (code, out, err) == (3, "", "internal error: RuntimeError: boom\\r\\nagain\n")
 
+    def test_memory_error_is_two(self, capsys, monkeypatch):
+        def exhaust(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_cmd_ring", exhaust)
+        code, out, err = run(capsys, "ring", "eval", "1")
+        assert (code, out, err) == (2, "", "error: out of memory\n")
+
     def test_closed_stdout_is_zero(self):
         # about 220 kB of output, more than a pipe holds, so the writer is
         # still writing when the reader closes the pipe
@@ -385,6 +393,33 @@ class TestRing:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert re.fullmatch(r"error: a power of work \d+ is over the limit of 8589934592\n", proc.stderr)
         assert elapsed < 1, f"ring eval (1 + ... + z^{base})^{n} took {elapsed:.2f}s"
+
+    def test_product_over_the_work_cap_is_two(self):
+        # (1+z)^2046 passes both power caps, but the product of two took about
+        # 18 s; it is refused before either power is taken.  Held to 1 GB and
+        # 20 s as above
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+        def wmul(expr):
+            return subprocess.run(
+                [sys.executable, "-m", "pin2k.cli", "ring", "wmul", expr],
+                capture_output=True,
+                text=True,
+                timeout=20,
+                env=dict(os.environ, PYTHONPATH=str(SRC)),
+                preexec_fn=limit_memory,
+            )
+
+        start = time.perf_counter()
+        proc = wmul("(1+z)^2046*(1+z)^2046")
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert re.fullmatch(r"error: a product of work \d+ is over the limit of 8589934592\n", proc.stderr)
+        assert elapsed < 2, f"ring wmul (1+z)^2046*(1+z)^2046 took {elapsed:.2f}s"
+        # half the degree is under the cap and answered
+        proc = wmul("(1+z)^1023*(1+z)^1023")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{3**2046}\n", "")
 
 
 class TestProcess:

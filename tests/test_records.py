@@ -10,9 +10,6 @@ from pin2k.bounds import BoundaryData, IntersectionForm, Manifold, Status, Verdi
 from pin2k.ideals import IdealForm, ideal_from_generators
 from pin2k.ring import LaurentElem, RingElem, parse
 from pin2k.spectra import (
-    REP_CTILDE,
-    REP_H,
-    FreeCell,
     GroupSuspension,
     RepSphere,
     SpectrumClass,
@@ -33,8 +30,7 @@ REPRS = [
     (RepSphere(1, 2), "RepSphere(t=1, l=2)"),
     (GroupSuspension(), "GroupSuspension(t=0, l=0)"),
     (TorusSuspension(0, 3), "TorusSuspension(t=0, l=3)"),
-    (FreeCell(5), "FreeCell(a=5)"),
-    (SwfSpace(RepSphere(), [FreeCell(1)]), "SwfSpace(base=RepSphere(t=0, l=0), free=(FreeCell(a=1),))"),
+    (SwfSpace(RepSphere(), [1]), "SwfSpace(base=RepSphere(t=0, l=0), free=(1,))"),
     (
         SpectrumClass(SwfSpace(GroupSuspension()), 1, Fraction(1, 2)),
         "SpectrumClass(space=SwfSpace(base=GroupSuspension(t=0, l=0), free=()), m=1, n=Fraction(1, 2))",
@@ -54,7 +50,7 @@ RECORDS = [record for record, _ in REPRS]
 
 def test_every_record_class_is_covered():
     classes = {type(record) for record in RECORDS}
-    assert len(classes) == len(RECORDS) == 14
+    assert len(classes) == len(RECORDS) == 13
     assert XiBounds in classes and IdealForm in classes
 
 
@@ -92,12 +88,12 @@ def test_equality_needs_the_same_class():
     assert 1 != RingElem(0, (1,))
     assert RingElem(0, (1,)) != (0, (1,))
     assert RingElem(0, (1,)) == RingElem(0, [1, 0])
-    assert FreeCell(1) != FreeCell(2)
+    assert SwfSpace(RepSphere(), [1]) != SwfSpace(RepSphere(), [2])
 
 
 def test_free_cells_are_stored_as_a_tuple():
-    space = SwfSpace(RepSphere(), [FreeCell(1)])
-    assert space.free == (FreeCell(1),)
+    space = SwfSpace(RepSphere(), [1])
+    assert space.free == (1,)
     assert type(space.free) is tuple
 
 
@@ -112,17 +108,11 @@ def test_replace_revalidates():
 
 
 def test_suspend_and_normalize_results():
-    cls = SpectrumClass(SwfSpace(GroupSuspension(), (FreeCell(1), FreeCell(3))), 1, Fraction(1, 2))
-    suspended = cls.suspend(REP_H, 2).suspend(REP_CTILDE)
-    assert suspended == SpectrumClass(
-        SwfSpace(GroupSuspension(1, 2), (FreeCell(11), FreeCell(13))), 1, Fraction(1, 2)
-    )
-    assert suspended.normalize() == SpectrumClass(
-        SwfSpace(GroupSuspension(), (FreeCell(1), FreeCell(3))), 0, Fraction(-3, 2)
-    )
-    assert brieskorn_class(29, "+").normalize() == SpectrumClass(
-        SwfSpace(RepSphere(), (FreeCell(-1), FreeCell(-1))), 0, Fraction(-1, 2)
-    )
+    cls = SpectrumClass(SwfSpace(GroupSuspension(), (1, 3)), 1, Fraction(1, 2))
+    suspended = cls.suspend(l=2).suspend(t=1)
+    assert suspended == SpectrumClass(SwfSpace(GroupSuspension(1, 2), (11, 13)), 1, Fraction(1, 2))
+    assert suspended.normalize() == SpectrumClass(SwfSpace(GroupSuspension(), (1, 3)), 0, Fraction(-3, 2))
+    assert brieskorn_class(29, "+").normalize() == SpectrumClass(SwfSpace(RepSphere(), (-1, -1)), 0, Fraction(-1, 2))
 
 
 # The number of leading fields each record class requires; the rest default.
@@ -133,7 +123,6 @@ REQUIRED = {
     RepSphere: 0,
     GroupSuspension: 0,
     TorusSuspension: 0,
-    FreeCell: 1,
     SwfSpace: 1,
     SpectrumClass: 1,
     Verdict: 2,

@@ -223,6 +223,20 @@ class TestArithmetic:
             dense**264
         assert (sparse**50).poly == tuple(comb(50, k // 1000) if k % 1000 == 0 else 0 for k in range(50001))
 
+    def test_product_work_cap(self):
+        # a product in the grammar is checked before its factors' powers are
+        # taken, from the bounds of the power cap: (1+z)^2046 has at most 2047
+        # nonzero coefficients of at most 2047 bits, so 2047 * 2047 * (2 * 2047 + 11)
+        message = f"^a product of work 17200807945 is over the limit of {MAX_POWER_WORK}$"
+        with pytest.raises(ValueError, match=message):
+            parse("(1+z)^2046*(1+z)^2046")
+        with pytest.raises(ValueError, match=message):
+            parse("-(1+z)^2046*(1+z)^2046*z")
+        # the power of a monomial has one nonzero coefficient, whatever its
+        # degree; counted as 100001, this product would be over the cap
+        assert parse("z^100000*(1+z)^400").poly == (0,) * 100000 + parse("(1+z)^400").poly
+        assert parse("-(1+z)^2^2*-w") == parse("(1+z)^4") * W
+
     def test_big_integers_do_not_overflow(self):
         x = z_pow(40) + W
         y = x * x

@@ -212,7 +212,7 @@ def test_record_checks_survive_optimize():
 import sys
 from fractions import Fraction
 from pin2k.bounds import IntersectionForm
-from pin2k.spectra import FreeCell, GroupSuspension, RepSphere, SpectrumClass, SwfSpace, TorusSuspension
+from pin2k.spectra import GroupSuspension, RepSphere, SpectrumClass, SwfSpace, TorusSuspension
 cases = [
     lambda: RepSphere(-1, 0),
     lambda: GroupSuspension(0, -1),
@@ -220,8 +220,8 @@ cases = [
     lambda: RepSphere(1, 2)._replace(l=-1),
     lambda: IntersectionForm(1, -1),
     lambda: SpectrumClass(SwfSpace(RepSphere()), 0, Fraction(1, 32)),
-    lambda: SwfSpace(FreeCell(1)),
-    lambda: SwfSpace(RepSphere(), [1]),
+    lambda: SwfSpace(1),
+    lambda: SwfSpace(RepSphere(), [True]),
 ]
 print(sys.flags.optimize)
 for case in cases:
@@ -249,6 +249,6 @@ for case in cases:
         block,
         "ValueError q must be nonnegative",
         "UnsupportedBlockError n must have denominator dividing 16",
-        "UnsupportedBlockError unsupported base block FreeCell(a=1)",
-        "UnsupportedBlockError free summands must be FreeCell blocks",
+        "UnsupportedBlockError unsupported base block 1",
+        "UnsupportedBlockError free cells must be int degrees",
     ]

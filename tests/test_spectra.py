@@ -10,9 +10,6 @@ from pin2k.ring import ONE, W, Z
 from pin2k.ideals import ideal_from_generators
 from pin2k.spectra import (
     MAX_M,
-    REP_CTILDE,
-    REP_H,
-    FreeCell,
     GroupSuspension,
     RepSphere,
     SpectrumClass,
@@ -37,7 +34,7 @@ SUPPORTED_M = [m for m in range(7, 120) if m % 2 and m % 3]
 
 
 def space(base, *cells):
-    return SwfSpace(base, tuple(FreeCell(a) for a in cells))
+    return SwfSpace(base, cells)
 
 
 class TestBlockIdeals:
@@ -90,7 +87,7 @@ class TestBlockIdeals:
             base = rng.choice(
                 [RepSphere(rng.randint(0, 3), rng.randint(0, 3)), GroupSuspension(), TorusSuspension()]
             )
-            cells = tuple(FreeCell(rng.randint(-3, 5)) for _ in range(rng.randint(0, 4)))
+            cells = tuple(rng.randint(-3, 5) for _ in range(rng.randint(0, 4)))
             bare = SwfSpace(base)
             wedged = SwfSpace(base, cells)
             assert ideal_of(bare) == ideal_of(wedged)
@@ -103,7 +100,10 @@ class TestBlockIdeals:
 
     def test_bad_blocks_rejected(self):
         with pytest.raises(UnsupportedBlockError):
-            SwfSpace(FreeCell(1))
+            SwfSpace(1)
+        for bad in (True, 1.0, "1"):
+            with pytest.raises(UnsupportedBlockError, match="^free cells must be int degrees$"):
+                space(RepSphere(), 0, bad)
         with pytest.raises(UnsupportedBlockError):
             RepSphere(-1, 0)
         with pytest.raises(UnsupportedBlockError):
@@ -125,25 +125,39 @@ class TestKappaAndSuspension:
 
     def test_suspend_changes_kappa_as_expected(self):
         cls = SpectrumClass(space(GroupSuspension(), 1), 0, 0)
-        assert cls.suspend(REP_H).kappa() == cls.kappa() + 2
-        assert cls.suspend(REP_CTILDE).kappa() == cls.kappa()
-        assert cls.desuspend(REP_H).kappa() == cls.kappa() - 2
+        assert cls.suspend(l=1).kappa() == cls.kappa() + 2
+        assert cls.suspend(t=1).kappa() == cls.kappa()
+        assert cls.desuspend(l=1).kappa() == cls.kappa() - 2
 
     def test_matched_moves_preserve_kappa_and_class(self):
         rng = random.Random(11)
         for _ in range(60):
             base = rng.choice([RepSphere(0, rng.randint(0, 2)), GroupSuspension(), TorusSuspension()])
-            cells = tuple(FreeCell(rng.randint(-2, 4)) for _ in range(rng.randint(0, 2)))
+            cells = tuple(rng.randint(-2, 4) for _ in range(rng.randint(0, 2)))
             cls = SpectrumClass(SwfSpace(base, cells), rng.randint(-2, 2), Fraction(rng.randint(-4, 4), 2))
-            moved = cls.suspend(REP_H).desuspend(REP_H)
+            moved = cls.suspend(l=1).desuspend(l=1)
             assert moved.kappa() == cls.kappa()
             assert moved.normalize() == cls.normalize()
-            moved = cls.suspend(REP_CTILDE).desuspend(REP_CTILDE)
+            moved = cls.suspend(t=1).desuspend(t=1)
             assert moved.normalize() == cls.normalize()
 
     def test_desuspend_of_suspension_is_identity_on_canonical_form(self):
         cls = s3_class()
-        assert cls.suspend(REP_H, 2).desuspend(REP_H, 2).normalize() == cls.normalize()
+        assert cls.suspend(l=2).desuspend(l=2).normalize() == cls.normalize()
+
+    def test_one_call_suspends_by_both_counts(self):
+        cls = SpectrumClass(space(TorusSuspension(1, 0), -1, 2), 1, Fraction(1, 2))
+        assert cls.suspend(t=1, l=2) == cls.suspend(l=2).suspend(t=1) == cls.suspend(t=1).suspend(l=2)
+        assert cls.suspend(t=1, l=2).space == space(TorusSuspension(2, 2), 9, 12)
+        assert cls.desuspend(t=1, l=2) == SpectrumClass(cls.space, 2, Fraction(5, 2))
+        assert cls.suspend() == cls.desuspend() == cls
+
+    def test_negative_counts_raise(self):
+        cls = SpectrumClass(space(GroupSuspension(), 1))
+        for move in (cls.suspend, cls.desuspend):
+            for counts in ({"t": -1}, {"l": -1}, {"t": 2, "l": -1}):
+                with pytest.raises(ValueError, match="^suspension counts must be nonnegative$"):
+                    move(**counts)
 
     def test_suspension_invariance_of_kappa_under_normalization(self):
         cls = SpectrumClass(space(GroupSuspension(2, 3), 1, 5), 1, Fraction(3, 2))
@@ -162,13 +176,13 @@ class TestDuality:
         assert minus11.space.base == TorusSuspension()
         assert (minus11.m, minus11.n) == (0, 1)
         minus23 = brieskorn_class(23, "-")
-        assert minus23.space.free == (FreeCell(2),)
+        assert minus23.space.free == (2,)
         minus13 = brieskorn_class(13, "-")
         assert minus13.space.base == RepSphere(0, 0)
-        assert minus13.space.free == (FreeCell(0),)
+        assert minus13.space.free == (0,)
         assert (minus13.m, minus13.n) == (0, 0)
         minus17 = brieskorn_class(17, "-")
-        assert minus17.space.free == (FreeCell(0),)
+        assert minus17.space.free == (0,)
         assert (minus17.m, minus17.n) == (0, Fraction(1, 2))
 
     def test_dual_is_an_involution(self):
@@ -209,7 +223,7 @@ class TestBrieskorn:
         assert brieskorn_kappa(13, "+") == 0
         assert brieskorn_kappa(17, "-") == -1
 
-    def test_family_values_through_the_ideal_machinery(self):
+    def test_brieskorn_kappa_reads_the_family_table(self):
         for m in SUPPORTED_M:
             family, _ = brieskorn_family(m)
             plus, minus = FAMILY_KAPPA[family]
@@ -276,6 +290,6 @@ class TestBrieskorn:
 
     def test_block_count_grows_with_the_index(self):
         assert brieskorn_class(11, "+").space.free == ()
-        assert brieskorn_class(23, "+").space.free == (FreeCell(1),)
-        assert brieskorn_class(35, "+").space.free == (FreeCell(1), FreeCell(1))
-        assert brieskorn_class(25, "+").space.free == (FreeCell(3), FreeCell(3))
+        assert brieskorn_class(23, "+").space.free == (1,)
+        assert brieskorn_class(35, "+").space.free == (1, 1)
+        assert brieskorn_class(25, "+").space.free == (3, 3)
