@@ -114,7 +114,7 @@ _HOMES = {
         "brieskorn_class",
         "brieskorn_kappa",
         "ideal_of",
-        "psc_kappa",
+        "psc_class",
         "s3_class",
     ),
 }

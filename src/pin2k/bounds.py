@@ -366,14 +366,12 @@ def _fillings(manifold):
 
 
 def manifold_kappa(manifold):
-    from .spectra import brieskorn_kappa, family_kappa, s3_class
+    from .spectra import FAMILIES, brieskorn_kappa, s3_class
 
     if manifold.family == "S3":
         return s3_class().kappa()
     orientation = "+" if manifold.sign > 0 else "-"
-    if manifold.m is None:
-        return family_kappa(manifold.family, orientation)
-    return brieskorn_kappa(manifold.m, orientation)
+    return brieskorn_kappa(manifold.m or FAMILIES[manifold.family][0], orientation)
 
 
 class XiBounds(Record):

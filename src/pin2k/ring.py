@@ -81,9 +81,10 @@ def _at_two(p):
 class RingElem(Record):
     """Normal form lam*w + P(z); poly holds P's coefficients, low degree first.
 
-    The constructor coerces wcoef and the coefficients of poly (any
-    iterable) to int and drops trailing zeros from poly.  A poly that is
-    already a tuple of ints without trailing zeros is kept, not copied.  It
+    The constructor takes ints and bools for wcoef and the coefficients of
+    poly (any iterable), stores them as int, refuses any other value with a
+    TypeError and drops trailing zeros from poly.  A poly that is already a
+    tuple of ints without trailing zeros is kept, not copied.  It
     sets the fields itself, not through Record.__init__, since every ring
     operation builds one.  Powers, whose results are normal forms by
     construction, build through the unchecked _make instead.
@@ -92,9 +93,11 @@ class RingElem(Record):
     __slots__ = ("wcoef", "poly")
 
     def __init__(self, wcoef=0, poly=()):
-        object.__setattr__(self, "wcoef", int(wcoef))
+        object.__setattr__(self, "wcoef", wcoef if type(wcoef) is int else _as_int(wcoef, "wcoef"))
         if type(poly) is not tuple or not all(type(c) is int for c in poly) or (poly and not poly[-1]):
-            poly = _strip([int(c) for c in poly])
+            if not hasattr(poly, "__iter__"):
+                raise TypeError(f"RingElem poly must be an iterable, got {poly!r}")
+            poly = _strip([_as_int(c, "poly coefficient") for c in poly])
         object.__setattr__(self, "poly", poly)
 
     @classmethod
@@ -251,6 +254,13 @@ class RingElem(Record):
 # skips Record.__init__'s argument checks and the __setattr__ lookup
 _set_wcoef = RingElem.__dict__["wcoef"].__set__
 _set_poly = RingElem.__dict__["poly"].__set__
+
+
+def _as_int(value, field):
+    """An int or bool value as an int; anything else, a float or a str too, is refused."""
+    if not isinstance(value, int):
+        raise TypeError(f"RingElem {field} must be an int, got {value!r}")
+    return int(value)
 
 
 def _format_terms(terms):
@@ -420,35 +430,38 @@ class _Tokens:
 def parse(text):
     """Parse an expression over integers, w, z, c~, h with + - * ^ and parens."""
     toks = _Tokens(text)
-    value = _parse_sum(toks)
+    make = _parse_sum(toks)[0]
     tok = toks.peek()
     if tok[0] != "end":
         raise ParseError(f"trailing input {tok[1]!r}", text, tok[2])
-    return value
+    return make()
 
 
 def _parse_sum(toks):
-    value = _parse_product(toks)
+    factor = _parse_product(toks)
     while toks.peek()[0] in ("+", "-"):
         op = toks.next()[0]
-        rhs = _parse_product(toks)
-        value = value + rhs if op == "+" else value - rhs
-    return value
+        lhs, rhs = factor[0](), _parse_product(toks)[0]()
+        factor = _factor(lhs + rhs if op == "+" else lhs - rhs)
+    return factor
 
 
 def _factor(x):
-    """x as a factor of a product: a thunk and the length, the nonzero
-    coefficients and the coefficient bits of its polynomial part.  A power
-    is parsed into its thunk and the bounds on these, so that a product is
-    refused before its factors' powers are taken."""
+    """x as a factor, which every grammar level returns: a thunk and the
+    length, the nonzero coefficients and the coefficient bits of its
+    polynomial part.  A power is parsed into its thunk and the bounds on
+    these, and passes through parentheses as it is, so that a product is
+    refused before its factors' powers are taken.  The checks run as the
+    text is parsed, so a thunk raises nothing."""
     p = x.poly
     return (lambda: x), len(p), len(p) - p.count(0), max(map(abs, p), default=0).bit_length()
 
 
 def _parse_product(toks):
-    make, _, terms, bits = _parse_unary(toks)
+    factor = _parse_unary(toks)
     while toks.peek()[0] == "*":
         toks.next()
+        make, _, terms, bits = factor
         make_rhs, length_rhs, _, bits_rhs = _parse_unary(toks)
         # the schoolbook work of P*Q, as for powers: each nonzero coefficient of
         # P meets every coefficient of Q, and a coefficient of P*Q sums at most
@@ -456,8 +469,8 @@ def _parse_product(toks):
         work = terms * length_rhs * (bits + bits_rhs + length_rhs.bit_length())
         if work > MAX_POWER_WORK:
             raise ValueError(f"a product of work {work} is over the limit of {MAX_POWER_WORK}")
-        make, _, terms, bits = _factor(make() * make_rhs())
-    return make()
+        factor = _factor(make() * make_rhs())
+    return factor
 
 
 def _parse_unary(toks):
@@ -470,28 +483,29 @@ def _parse_unary(toks):
 
 
 def _parse_power(toks):
-    value = _parse_atom(toks)
+    factor = _parse_atom(toks)
     while toks.peek()[0] == "^":
         toks.next()
         n = toks.expect("int")[1]
+        value = factor[0]()
         if toks.peek()[0] != "^":  # the last power waits for its product's check
             return (lambda: value**n), *value._power_bounds(n)
-        value = value**n
-    return _factor(value)
+        factor = _factor(value**n)
+    return factor
 
 
 def _parse_atom(toks):
     kind, val, pos = toks.next()
     if kind == "int":
-        return const(val)
+        return _factor(const(val))
     if kind == "ident":
-        return _IDENTS[val]
+        return _factor(_IDENTS[val])
     if kind == "(":
         toks.enter(pos)
-        value = _parse_sum(toks)
+        factor = _parse_sum(toks)
         toks.expect(")")
         toks.depth -= 1
-        return value
+        return factor
     if kind == "end":
         raise ParseError("unexpected end of input", toks.text, pos)
     raise ParseError(f"unexpected token {val!r}", toks.text, pos)

@@ -9,14 +9,15 @@ A space is a wedge of one non-free base block with finitely many free cells:
   free cell a        wedge summand S^a smashed with the free orbit (G_+),
                      stored as its degree a and printed as "S^a G+".
 
-The base blocks carry their own suspension pair (t, l).  A spectrum class is
-a triple (space, m, n): the space formally de-suspended m times by the sign
-plane and n times by the quaternions, with n an exact rational whose
-denominator divides 16.  Ideals are read off blockwise: free cells
-contribute nothing, RepSphere(t, l) gives (z^l) and both unreduced
-suspensions give (w, z)*(z^l) = (2^l*w, z^(l+1)), as w*z^l = 2^l*w.  So the
-block invariants are closed forms: k is l or l + 1, and a class is KG-split
-iff its base is a sphere.  Only ideal_of loads the ideals and ring layers.
+The base blocks carry their own suspension pair (t, l), and each kind one
+count, suspended: 0 for RepSphere, 1 for the two unreduced suspensions.  A
+spectrum class is a triple (space, m, n): the space formally de-suspended m
+times by the sign plane and n times by the quaternions, with m an int and n
+an exact rational whose denominator divides 16.  Every block rule reads the
+count s = suspended.  Free cells contribute no ideal, and a base block gives
+(w, z)^s * (z^l) = (2^l*w, z^(l+s)), as w*z^l = 2^l*w; so k = l + s, and a
+class is KG-split iff s = 0.  The dual of a block is its partner across s
+quaternionic de-suspensions.  Only ideal_of loads the ideals and ring layers.
 
 Free cells absorb suspensions as plain degree shifts (a suspension by any
 representation of real dimension r is an r-fold ordinary suspension on a
@@ -42,18 +43,27 @@ class UnsupportedSeifertDataError(SpectraError):
 
 
 class _Block(Record):
-    """A base block; each kind carries its own suspension pair (t, l)."""
+    """A base block; each kind carries its own suspension pair (t, l) and
+    the count of unreduced suspensions in it, suspended."""
 
     __slots__ = ()
 
     def __init__(self, t=0, l=0):
+        if type(t) is not int or type(l) is not int:
+            raise UnsupportedBlockError(f"suspension pair must be ints, got t={t!r}, l={l!r}")
         if t < 0 or l < 0:
             raise UnsupportedBlockError("suspension pair must be nonnegative")
         super().__init__(t, l)
 
+    def label(self):
+        prefix = f"S^(C~^{self.t}) " if self.t else ""
+        prefix += f"S^(H^{self.l}) " if self.l else ""
+        return prefix + self.name
+
 
 class RepSphere(_Block):
     __slots__ = ("t", "l")
+    suspended = 0
 
     def label(self):
         return f"(C~^{self.t} + H^{self.l})^+" if (self.t or self.l) else "S^0"
@@ -61,25 +71,16 @@ class RepSphere(_Block):
 
 class GroupSuspension(_Block):
     __slots__ = ("t", "l")
-
-    def label(self):
-        return _susp_label("SuspG", self.t, self.l)
+    name, suspended = "SuspG", 1
 
 
 class TorusSuspension(_Block):
     __slots__ = ("t", "l")
-
-    def label(self):
-        return _susp_label("SuspT", self.t, self.l)
+    name, suspended = "SuspT", 1
 
 
-def _susp_label(name, t, l):
-    prefix = ""
-    if t:
-        prefix += f"S^(C~^{t}) "
-    if l:
-        prefix += f"S^(H^{l}) "
-    return prefix + name
+# each block kind's partner under duality
+_DUAL_KIND = {RepSphere: RepSphere, GroupSuspension: TorusSuspension, TorusSuspension: GroupSuspension}
 
 
 class SwfSpace(Record):
@@ -103,18 +104,16 @@ class SwfSpace(Record):
 
 def ideal_of(space: SwfSpace):
     """Restriction-image IdealForm of the space; free cells never contribute."""
-    from .ideals import IdealForm, z_power_ideal
+    from .ideals import IdealForm
     from .ring import RingElem, z_pow
 
     base = space.base
-    if isinstance(base, RepSphere):
-        return z_power_ideal(base.l)
-    d = 1 << base.l  # (2^l*w, z^(l+1)): w*(2^l*w) = 2^(l+1)*w, so e = 2d
-    return IdealForm((RingElem(d, ()), z_pow(base.l + 1)), 2 * d, d)
+    d = 1 << base.l  # (2^l*w, z^(l+s)): w*z^(l+s) = 2^(l+s)*w, so e = 2^s*d
+    return IdealForm((RingElem(d, ()), z_pow(base.l + base.suspended)), d << base.suspended, d)
 
 
 def k_of(space: SwfSpace) -> int:
-    return space.base.l if isinstance(space.base, RepSphere) else space.base.l + 1
+    return space.base.l + space.base.suspended
 
 
 class SpectrumClass(Record):
@@ -123,6 +122,8 @@ class SpectrumClass(Record):
     __slots__ = ("space", "m", "n")
 
     def __init__(self, space, m=0, n=0):
+        if type(m) is not int:
+            raise UnsupportedBlockError(f"m must be an int, got {m!r}")
         n = Fraction(n)
         if (16 * n).denominator != 1:
             raise UnsupportedBlockError("n must have denominator dividing 16")
@@ -130,14 +131,11 @@ class SpectrumClass(Record):
 
     # -- invariants ------------------------------------------------------------
 
-    def k(self):
-        return k_of(self.space)
-
     def kappa(self) -> Fraction:
-        return 2 * (Fraction(self.k()) - self.n)
+        return 2 * (Fraction(k_of(self.space)) - self.n)
 
     def is_floer_kg_split(self):
-        return isinstance(self.space.base, RepSphere)
+        return not self.space.base.suspended
 
     # -- suspension bookkeeping --------------------------------------------------
 
@@ -168,30 +166,24 @@ class SpectrumClass(Record):
     def dual(self):
         """Blockwise Spanier-Whitehead dual with suspension bookkeeping.
 
-        The two unreduced suspensions are dual to each other across one
-        quaternionic de-suspension; free cells in absolute degree c go to
-        absolute degree -1 - c; representation spheres are self-dual with
-        the indices negated.
+        A block goes to its partner in _DUAL_KIND across `suspended`
+        quaternionic de-suspensions: the two unreduced suspensions swap, and
+        representation spheres are self-dual with the indices negated.  Free
+        cells in absolute degree c go to absolute degree -1 - c, so a cell
+        of degree a in the normalized class goes to 4*suspended - 1 - a, an
+        int since m is.
         """
         cls = self.normalize()
         base = cls.space.base
-        if isinstance(base, RepSphere):
-            dual_base, n_offset = base, Fraction(0)
-        elif isinstance(base, GroupSuspension):
-            dual_base, n_offset = TorusSuspension(), Fraction(1)
-        else:
-            dual_base, n_offset = GroupSuspension(), Fraction(1)
         new_m = -cls.m
-        new_n = n_offset - cls.n
+        new_n = base.suspended - cls.n
         cells = []
         for a in cls.space.free:
             c = Fraction(a) - 2 * cls.m - 4 * cls.n
             cprime = -1 - c
             a_new = cprime + 2 * new_m + 4 * new_n
-            if a_new.denominator != 1:
-                raise UnsupportedBlockError("free cell degree is not integral after duality")
             cells.append(int(a_new))
-        return SpectrumClass(SwfSpace(dual_base, tuple(cells)), new_m, new_n)
+        return SpectrumClass(SwfSpace(_DUAL_KIND[type(base)](), tuple(cells)), new_m, new_n)
 
 
 def s3_class() -> SpectrumClass:
@@ -201,10 +193,6 @@ def s3_class() -> SpectrumClass:
 def psc_class(n_correction) -> SpectrumClass:
     """Class of a sphere-like flow with the given index correction n."""
     return SpectrumClass(SwfSpace(RepSphere(0, 0)), 0, Fraction(n_correction) / 2)
-
-
-def psc_kappa(n_correction) -> Fraction:
-    return psc_class(n_correction).kappa()
 
 
 # Largest m that brieskorn_class accepts.  A class of Sigma(2,3,m) holds

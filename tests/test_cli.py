@@ -40,6 +40,12 @@ class TestExitCodes:
     def test_satisfied_is_zero(self, capsys):
         code, out, _ = run(capsys, "bounds", "split", "--p", "2", "--q", "3")
         assert code == 0 and out.startswith("Satisfied")
+        for action in ("furuta", "conjecture"):  # inapplicable is no violation either
+            assert run(capsys, "bounds", action, "--p", "1") == (
+                0,
+                "Inapplicable: needs q > 0 and p >= 0, got p=1, q=0\n",
+                "",
+            )
 
     def test_violated_is_one(self, capsys):
         code, out, _ = run(capsys, "bounds", "split", "--p", "2", "--q", "2")
@@ -169,6 +175,11 @@ class TestMalformedInput:
             (
                 ("bauer", "check", "--chain", '[{"p":2,"q":3,"boundary":{"kappa":0,"kg_split":true,"kappa":-9}}]'),
                 "error: bad chain JSON: repeated key 'kappa'\n",
+            ),
+            (("ring", "eval", "1 )"), "error: trailing input ')' at byte 2\n"),
+            (
+                ("bauer", "check", "--chain", "{"),
+                "error: bad chain JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n",
             ),
         ],
     )
@@ -417,6 +428,14 @@ class TestRing:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert re.fullmatch(r"error: a product of work \d+ is over the limit of 8589934592\n", proc.stderr)
         assert elapsed < 2, f"ring wmul (1+z)^2046*(1+z)^2046 took {elapsed:.2f}s"
+        # parenthesized factors pass their bounds up unevaluated: this took
+        # both powers, about 3.8 s, before it was refused
+        start = time.perf_counter()
+        proc = wmul("((1+z)^2046)*((1+z)^2046)")
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert re.fullmatch(r"error: a product of work \d+ is over the limit of 8589934592\n", proc.stderr)
+        assert elapsed < 2, f"ring wmul ((1+z)^2046)*((1+z)^2046) took {elapsed:.2f}s"
         # half the degree is under the cap and answered
         proc = wmul("(1+z)^1023*(1+z)^1023")
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{3**2046}\n", "")
@@ -489,6 +508,9 @@ class TestIdeal:
             "k": 1,
             "kg_split": False,
         }
+        # 3 has an odd factor, so the ideal has no k
+        code, payload = run_json(capsys, "ideal", "info", "--gens", "3")
+        assert code == 0 and payload["k"] is None and payload["e"] == 3
 
     def test_output_reparses_as_input(self, capsys):
         _, payload = run_json(capsys, "ideal", "info", "--gens", "z^2, 2*z, 4")
@@ -545,6 +567,7 @@ class TestIdeal:
         code, out, _ = run(capsys, "ideal", "witness", "--gens", "1")
         assert code == 0 and out.strip() == "nilpotence exponent = 0"
         bad = {
+            "x": "PIN2K_KMAX must be an integer",
             "257": f"PIN2K_KMAX = 257 is over the limit of {cli.MAX_KMAX}",
             "-1": f"PIN2K_KMAX = -1 is negative; the valid range is 0..{cli.MAX_KMAX}",
             "-3": f"PIN2K_KMAX = -3 is negative; the valid range is 0..{cli.MAX_KMAX}",
@@ -572,6 +595,19 @@ class TestBrieskorn:
         assert payload["n"] == "1/2"
         assert payload["kg_split"] is False
         assert payload["blocks"] == ["SuspG"]
+
+    @pytest.mark.parametrize(
+        "m,orient,blocks",
+        [
+            ("13", "+", ["(C~^0 + H^1)^+", "S^3 G+"]),
+            ("13", "-", ["S^0", "S^0 G+"]),
+            ("11", "-", ["SuspT"]),
+            ("23", "+", ["SuspG", "S^1 G+"]),
+        ],
+    )
+    def test_class_blocks(self, capsys, m, orient, blocks):
+        code, payload = run_json(capsys, "brieskorn", "class", "2", "3", m, "--orient", orient)
+        assert code == 0 and payload["blocks"] == blocks
 
     def test_rejects_other_seifert_data(self, capsys):
         code, _, err = run(capsys, "brieskorn", "kappa", "2", "5", "11")

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 from math import comb
@@ -175,6 +176,21 @@ class TestArithmetic:
         assert RingElem(1, padded).poly == (3,) and padded == (3, 0, 0)
         normal = (3, 0, 4)
         assert RingElem(1, normal).poly is normal
+
+    def test_constructor_refuses_non_integers(self):
+        # int() once truncated these: RingElem(1.5, ()) was RingElem(1, ())
+        # and RingElem(0, ["3"]) was 3
+        cases = [
+            ((1.5, ()), "wcoef must be an int, got 1.5"),
+            (("1", ()), "wcoef must be an int, got '1'"),
+            ((0, [Fraction(7, 2)]), "poly coefficient must be an int, got Fraction(7, 2)"),
+            ((0, ["3"]), "poly coefficient must be an int, got '3'"),
+            ((0, (1, 2.0)), "poly coefficient must be an int, got 2.0"),
+            ((0, 5), "poly must be an iterable, got 5"),
+        ]
+        for args, message in cases:
+            with pytest.raises(TypeError, match=f"^RingElem {re.escape(message)}$"):
+                RingElem(*args)
 
     def test_operations_stay_in_normal_form(self):
         # the constructor keeps the tuples the operations build, so those must be normal

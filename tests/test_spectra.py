@@ -23,7 +23,6 @@ from pin2k.spectra import (
     ideal_of,
     k_of,
     psc_class,
-    psc_kappa,
     s3_class,
 )
 
@@ -94,6 +93,15 @@ class TestBlockIdeals:
             cls = SpectrumClass(wedged, 0, Fraction(1, 2))
             assert cls.kappa() == SpectrumClass(bare, 0, Fraction(1, 2)).kappa()
 
+    def test_labels(self):
+        assert RepSphere(1, 2).label() == "(C~^1 + H^2)^+"
+        assert RepSphere(0, 0).label() == "S^0"
+        assert GroupSuspension(1, 2).label() == "S^(C~^1) S^(H^2) SuspG"
+        assert GroupSuspension().label() == "SuspG"
+        assert TorusSuspension(0, 3).label() == "S^(H^3) SuspT"
+        assert TorusSuspension(2, 0).label() == "S^(C~^2) SuspT"
+        assert space(GroupSuspension(), 1, -2).labels() == ["SuspG", "S^1 G+", "S^-2 G+"]
+
     def test_level_is_even(self):
         assert space(RepSphere(3, 1)).level == 6
         assert space(GroupSuspension(2, 0)).level == 4
@@ -106,6 +114,12 @@ class TestBlockIdeals:
                 space(RepSphere(), 0, bad)
         with pytest.raises(UnsupportedBlockError):
             RepSphere(-1, 0)
+        for kind, args in [(RepSphere, (0.5, 1)), (RepSphere, (0, 1.0)), (GroupSuspension, (True,))]:
+            with pytest.raises(UnsupportedBlockError, match="^suspension pair must be ints, got t="):
+                kind(*args)
+        for m in (1.5, Fraction(1), "0", True):
+            with pytest.raises(UnsupportedBlockError, match="^m must be an int, got "):
+                SpectrumClass(space(GroupSuspension(), 1), m, 0)
         with pytest.raises(UnsupportedBlockError):
             SpectrumClass(space(RepSphere(0, 0)), 0, Fraction(1, 3))
 
@@ -117,10 +131,10 @@ class TestKappaAndSuspension:
         assert SpectrumClass(space(TorusSuspension()), 0, 1).kappa() == 0
 
     def test_psc(self):
-        assert psc_kappa(0) == 0
-        assert psc_kappa(2) == -2
-        assert psc_kappa(-1) == 1
-        assert psc_kappa(Fraction(1, 4)) == Fraction(-1, 4)
+        assert psc_class(0).kappa() == 0
+        assert psc_class(2).kappa() == -2
+        assert psc_class(-1).kappa() == 1
+        assert psc_class(Fraction(1, 4)).kappa() == Fraction(-1, 4)
         assert psc_class(2).n == 1
 
     def test_suspend_changes_kappa_as_expected(self):
