@@ -381,6 +381,10 @@ class XiBounds(Record):
 
     __slots__ = ("manifold", "lower", "upper_filling", "upper_orbifold", "upper_kappa", "upper", "exact")
 
+    def xi_text(self, equals=""):
+        """xi as text: equals and the exact value, or the range from lower to upper."""
+        return f"{equals}{self.exact}" if self.exact is not None else f"in [{self.lower}, {self.upper}]"
+
 
 def xi_bounds(manifold) -> XiBounds:
     """Best stored/computed bounds on xi = max(p - q) over spin fillings."""
@@ -433,10 +437,9 @@ def emit_xi_table():
     header = f"{'manifold':<20} {'lower':>6} {'up(fill)':>9} {'up(orb)':>8} {'up(kappa)':>10} {'upper':>6}  xi"
     lines = [header, "-" * len(header)]
     for row in rows:
-        xi = str(row.exact) if row.exact is not None else f"in [{row.lower}, {row.upper}]"
         lines.append(
             f"{row.manifold.label():<20} {_cell(row.lower):>6} {_cell(row.upper_filling):>9} "
-            f"{_cell(row.upper_orbifold):>8} {row.upper_kappa:>10} {row.upper:>6}  {xi}"
+            f"{_cell(row.upper_orbifold):>8} {row.upper_kappa:>10} {row.upper:>6}  {row.xi_text()}"
         )
     return "\n".join(lines) + "\n"
 

@@ -64,6 +64,18 @@ def _emit(args, table_text, payload):
         print(table_text)
 
 
+def _report(payload, name, sep):
+    """The text of a report: a `name: items` line of payload[name] joined by
+    sep, (0) if it has none, then a `key = value` line for each key after name
+    in payload, booleans in lower case."""
+    keys = list(payload)
+    lines = [f"{name}: " + (sep.join(payload[name]) or "(0)")]
+    for key in keys[keys.index(name) + 1 :]:
+        value = payload[key]
+        lines.append(f"{key} = {str(value).lower() if type(value) is bool else value}")
+    return "\n".join(lines)
+
+
 def _frac_json(value):
     """A Fraction as JSON: an integer, or the string "a/b"."""
     return int(value) if value.denominator == 1 else str(value)
@@ -122,22 +134,9 @@ def _cmd_ideal(args):
             k = form.k_invariant()
         except ideals.IdealError:
             k = None
-        payload = {
-            "basis": [str(b) for b in form.basis],
-            "e": form.e,
-            "d": form.d,
-            "k": k,
-            "kg_split": form.is_kg_split(),
-        }
-        text = "\n".join(
-            [
-                "basis: " + (", ".join(payload["basis"]) or "(0)"),
-                f"e = {payload['e']}",
-                f"d = {payload['d']}",
-                f"k = {payload['k']}",
-                f"kg_split = {str(payload['kg_split']).lower()}",
-            ]
-        )
+        basis = [str(b) for b in form.basis]
+        payload = {"basis": basis, "e": form.e, "d": form.d, "k": k, "kg_split": form.is_kg_split()}
+        text = _report(payload, "basis", ", ")
     elif args.action == "contains":
         x = ring.parse(args.element)
         verdict = form.contains(x)
@@ -221,16 +220,7 @@ def _cmd_brieskorn(args):
         _emit(args, f"kappa = {_frac_json(kappa)}", _brieskorn_payload(args.m, args.orient) if args.json else None)
     else:  # class
         payload = _brieskorn_payload(args.m, args.orient)
-        text = "\n".join(
-            [
-                "blocks: " + " v ".join(payload["blocks"]),
-                f"m = {payload['m']}",
-                f"n = {payload['n']}",
-                f"kappa = {payload['kappa']}",
-                f"kg_split = {str(payload['kg_split']).lower()}",
-            ]
-        )
-        _emit(args, text, payload)
+        _emit(args, _report(payload, "blocks", " v "), payload)
     return 0
 
 
@@ -295,8 +285,7 @@ def _cmd_xi(args):
         text, payload = None, {"rows": payloads}
     else:
         (row,), (payload,) = rows, payloads
-        value = f"= {row.exact}" if row.exact is not None else f"in [{row.lower}, {row.upper}]"
-        text = f"xi({payload['manifold']}) {value}"
+        text = f"xi({payload['manifold']}) {row.xi_text('= ')}"
     _emit(args, text, payload)
     return 0
 

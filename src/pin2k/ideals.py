@@ -260,32 +260,31 @@ def ideal_from_generators(gens):
         else:
             half |= bit  # x reduced to (0, bit)
 
-    # ascending prune.  Each pivot below max_deg pushed its z-shift, so there
-    # is a pivot at every degree from the lowest up and each lead divides the
-    # one below; where two agree, the upper pivot minus the lower one's shift
-    # reduces to (0, 0), or to (0, 1) when half, against the lower pivots.  So
-    # a pivot is redundant iff its lead equals the one below; the others get
-    # canonical tails (sub-leading coefficients in [0, pivot)) against those kept
+    d = e // 2 if half else e
+    if e % d if d else e:  # d | e, and 0 divides only 0
+        raise IdealError(f"completion broke d | e (e = {e}, d = {d})")
+    if e and 2 * d % e:
+        raise IdealError(f"completion broke e | 2d (e = {e}, d = {d})")
+
+    # one ascending walk prunes, clamps and builds the basis.  Each pivot below
+    # max_deg pushed its z-shift, so there is a pivot at every degree from the
+    # lowest up and each lead divides the one below; where two agree, the upper
+    # pivot minus the lower one's shift reduces to (0, 0), or to (0, 1) when
+    # half, against the lower pivots.  So a pivot is redundant iff its lead
+    # equals the one below; the others get canonical tails (each sub-leading
+    # coefficient c with 0 <= c < the lead of its pivot) against the kept
+    # pivots below, which are final
+    basis = [RingElem(d, ())] if d else []
     lead = 0
     for deg in sorted(pool):
         p, bit = pool[deg]
         if p[-1] == lead:
             del pool[deg]
-        else:
-            lead = p[-1]
-            pool[deg] = clamp(list(p), bit)
-
-    d = e // 2 if half else e
-    basis = [RingElem(d, ())] if d else []
-    for deg in sorted(pool):
-        p, bit = pool[deg]
+            continue
+        lead = p[-1]
+        pool[deg] = p, bit = clamp(list(p), bit)
         lam = (e * bit - RingElem(0, p).w_multiplier()) // 2
         basis.append(RingElem(lam % d if d else lam, p))
-
-    if e % d if d else e:  # d | e, and 0 divides only 0
-        raise IdealError(f"completion broke d | e (e = {e}, d = {d})")
-    if e and 2 * d % e:
-        raise IdealError(f"completion broke e | 2d (e = {e}, d = {d})")
     return IdealForm(tuple(basis), e, d)
 
 
@@ -297,8 +296,13 @@ def ideal_product(i, j):
     return ideal_from_generators([a * b for a in i.basis for b in j.basis])
 
 
-def z_power_ideal(k):
-    """(z^k) in closed form: w*z^k = 2^k*w, so its form is (2^k*w, z^k) with e = d = 2^k."""
+def z_power_ideal(k, l=None):
+    """(2^l*w, z^k) in closed form, for l <= k <= l + 1; l = k, the default,
+    gives (z^k), and l = k - 1 gives (w, z)*(z^l).  w*z^k = 2^k*w, so the form
+    is (2^l*w, z^k) with e = 2^k and d = 2^l."""
     zk = z_pow(k)  # rejects k < 0 with the ring's message, before the shift can
-    d = 1 << k
-    return IdealForm((RingElem(d, ()), zk), d, d)
+    l = k if l is None else l
+    if not l <= k <= l + 1:
+        raise ValueError(f"(2^l*w, z^k) needs l <= k <= l + 1, got k = {k}, l = {l}")
+    d = 1 << l
+    return IdealForm((RingElem(d, ()), zk), d << (k - l), d)

@@ -238,10 +238,7 @@ class RingElem(Record):
     # -- formatting ----------------------------------------------------------
 
     def __str__(self):
-        terms = []
-        for i, a in enumerate(self.poly):
-            if a:
-                terms.append((a, _z_monomial(i)))
+        terms = [(a, _monomial("z", i)) for i, a in enumerate(self.poly) if a]
         if self.wcoef:
             terms.append((self.wcoef, "w"))
         return _format_terms(terms)
@@ -283,12 +280,9 @@ def _format_terms(terms):
     return " ".join(pieces)
 
 
-def _z_monomial(i):
-    if i == 0:
-        return ""
-    if i == 1:
-        return "z"
-    return f"z^{i}"
+def _monomial(name, i):
+    """name^i as a term prints it: "" for i = 0, name for i = 1."""
+    return "" if i == 0 else name if i == 1 else f"{name}^{i}"
 
 
 def _coerce(value):
@@ -336,15 +330,7 @@ class LaurentElem(Record):
     _defaults = {"terms": ()}
 
     def __str__(self):
-        return _format_terms([(c, _theta_monomial(e)) for e, c in self.terms])
-
-
-def _theta_monomial(e):
-    if e == 0:
-        return ""
-    if e == 1:
-        return "theta"
-    return f"theta^{e}"
+        return _format_terms([(c, _monomial("theta", e)) for e, c in self.terms])
 
 
 # -- parsing ------------------------------------------------------------------
@@ -438,21 +424,34 @@ def parse(text):
 
 
 def _parse_sum(toks):
-    factor = _parse_product(toks)
+    """A sum as a factor, bounded by its terms' bounds: the longest term's
+    length, the terms' nonzero coefficients (at most that length) and the
+    largest term's bits plus the bits of the number of terms."""
+    factors, signs = [_parse_product(toks)], [1]
     while toks.peek()[0] in ("+", "-"):
-        op = toks.next()[0]
-        lhs, rhs = factor[0](), _parse_product(toks)[0]()
-        factor = _factor(lhs + rhs if op == "+" else lhs - rhs)
-    return factor
+        signs.append(1 if toks.next()[0] == "+" else -1)
+        factors.append(_parse_product(toks))
+    if len(factors) == 1:
+        return factors[0]
+
+    def make():  # a loop, so that a long flat sum does not recurse
+        total = ZERO
+        for (term, *_), sign in zip(factors, signs):
+            total = total + term() if sign > 0 else total - term()
+        return total
+
+    length = max(factor[1] for factor in factors)
+    terms = min(sum(factor[2] for factor in factors), length)
+    return make, length, terms, max(factor[3] for factor in factors) + len(factors).bit_length()
 
 
 def _factor(x):
     """x as a factor, which every grammar level returns: a thunk and the
     length, the nonzero coefficients and the coefficient bits of its
-    polynomial part.  A power is parsed into its thunk and the bounds on
-    these, and passes through parentheses as it is, so that a product is
-    refused before its factors' powers are taken.  The checks run as the
-    text is parsed, so a thunk raises nothing."""
+    polynomial part.  A power or a sum is parsed into its thunk and the
+    bounds on these, and passes through parentheses as it is, so that a
+    product is refused before its factors' powers are taken.  The checks
+    run as the text is parsed, so a thunk raises nothing."""
     p = x.poly
     return (lambda: x), len(p), len(p) - p.count(0), max(map(abs, p), default=0).bit_length()
 

@@ -103,13 +103,10 @@ class SwfSpace(Record):
 
 
 def ideal_of(space: SwfSpace):
-    """Restriction-image IdealForm of the space; free cells never contribute."""
-    from .ideals import IdealForm
-    from .ring import RingElem, z_pow
+    """The restriction-image ideal (2^l*w, z^(l+s)) of the space; free cells never contribute."""
+    from .ideals import z_power_ideal
 
-    base = space.base
-    d = 1 << base.l  # (2^l*w, z^(l+s)): w*z^(l+s) = 2^(l+s)*w, so e = 2^s*d
-    return IdealForm((RingElem(d, ()), z_pow(base.l + base.suspended)), d << base.suspended, d)
+    return z_power_ideal(k_of(space), space.base.l)
 
 
 def k_of(space: SwfSpace) -> int:
@@ -122,6 +119,8 @@ class SpectrumClass(Record):
     __slots__ = ("space", "m", "n")
 
     def __init__(self, space, m=0, n=0):
+        if not isinstance(space, SwfSpace):
+            raise UnsupportedBlockError(f"unsupported space {space!r}")
         if type(m) is not int:
             raise UnsupportedBlockError(f"m must be an int, got {m!r}")
         n = Fraction(n)

@@ -322,6 +322,10 @@ class TestRing:
         _, out, _ = run(capsys, "ring", "wmul", "3 + z")
         _, payload = run_json(capsys, "ring", "wmul", "3 + z")
         assert out.strip() == str(payload["w_multiplier"]) == "5"
+        _, out, _ = run(capsys, "ring", "restrict", "z^3")
+        _, payload = run_json(capsys, "ring", "restrict", "z^3")
+        expected = "-theta^-3 + 6*theta^-2 - 15*theta^-1 + 20 - 15*theta + 6*theta^2 - theta^3"
+        assert out == payload["restriction"] + "\n" == expected + "\n"
 
 
     @pytest.mark.parametrize(
@@ -436,6 +440,14 @@ class TestRing:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert re.fullmatch(r"error: a product of work \d+ is over the limit of 8589934592\n", proc.stderr)
         assert elapsed < 2, f"ring wmul ((1+z)^2046)*((1+z)^2046) took {elapsed:.2f}s"
+        # a sum passes up bounds read off its terms' bounds: this took both
+        # powers, about 2.8 s, before it was refused
+        start = time.perf_counter()
+        proc = wmul("((1+z)^2046+0)*((1+z)^2046+0)")
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert re.fullmatch(r"error: a product of work \d+ is over the limit of 8589934592\n", proc.stderr)
+        assert elapsed < 1, f"ring wmul ((1+z)^2046+0)*((1+z)^2046+0) took {elapsed:.2f}s"
         # half the degree is under the cap and answered
         proc = wmul("(1+z)^1023*(1+z)^1023")
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{3**2046}\n", "")
@@ -511,6 +523,11 @@ class TestIdeal:
         # 3 has an odd factor, so the ideal has no k
         code, payload = run_json(capsys, "ideal", "info", "--gens", "3")
         assert code == 0 and payload["k"] is None and payload["e"] == 3
+        # the text holds the same numbers: the basis line, then key = value
+        # lines with lower-case booleans; the zero ideal's basis is (0)
+        for gens, basis, e in [("0", "(0)", 0), ("3", "3*w, 3", 3)]:
+            text = f"basis: {basis}\ne = {e}\nd = {e}\nk = None\nkg_split = false\n"
+            assert run(capsys, "ideal", "info", "--gens", gens) == (0, text, "")
 
     def test_output_reparses_as_input(self, capsys):
         _, payload = run_json(capsys, "ideal", "info", "--gens", "z^2, 2*z, 4")
@@ -595,6 +612,12 @@ class TestBrieskorn:
         assert payload["n"] == "1/2"
         assert payload["kg_split"] is False
         assert payload["blocks"] == ["SuspG"]
+        # the text: the blocks line, then key = value lines with lower-case booleans
+        for argv, text in [
+            (("13", "--orient", "-"), "blocks: S^0 v S^0 G+\nm = 0\nn = 0\nkappa = 0\nkg_split = true\n"),
+            (("23",), "blocks: SuspG v S^1 G+\nm = 0\nn = 0\nkappa = 2\nkg_split = false\n"),
+        ]:
+            assert run(capsys, "brieskorn", "class", "2", "3", *argv) == (0, text, "")
 
     @pytest.mark.parametrize(
         "m,orient,blocks",
@@ -673,6 +696,8 @@ class TestXiAndBauer:
         assert code == 0 and out.strip() == "xi(Sigma(2,3,11)) = 0"
         code, out, _ = run(capsys, "xi", "show", "--", "-Sigma(2,3,12n-1)")
         assert code == 0 and out.strip() == "xi(-Sigma(2,3,12n-1)) = -1"
+        assert run(capsys, "xi", "show", "Sigma(2,3,12n-1)") == (0, "xi(Sigma(2,3,12n-1)) in [-1, 0]\n", "")
+        assert run(capsys, "xi", "show", "S3") == (0, "xi(S^3) = -1\n", "")
 
     def test_unknown_manifold(self, capsys):
         code, _, err = run(capsys, "xi", "show", "Sigma(2,3,9)")

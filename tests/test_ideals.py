@@ -85,6 +85,13 @@ class TestCanonicalForm:
             assert z_power_ideal(k) == ideal_from_generators([z_pow(k)]), k
         with pytest.raises(ValueError, match="^z exponent must be nonnegative$"):
             z_power_ideal(-1)
+        # (2^l*w, z^k) for l <= k <= l + 1, which spectra's block ideals read
+        for l in range(6):
+            for k in (l, l + 1):
+                assert z_power_ideal(k, l) == ideal_from_generators([RingElem(2**l, ()), z_pow(k)]), (k, l)
+        for k, l in [(3, 1), (1, 2)]:
+            with pytest.raises(ValueError, match=r"^\(2\^l\*w, z\^k\) needs l <= k <= l \+ 1"):
+                z_power_ideal(k, l)
 
     def test_generator_degree_cap(self):
         # a pool of up to MAX_DEGREE elements of up to MAX_DEGREE coefficients

@@ -17,7 +17,7 @@ import sys
 from pin2k import cli
 if sys.argv[1:]:
     cli.main(sys.argv[1:])
-watched = ("json", "dataclasses", "inspect", "argparse", "gettext", "locale", "__future__")
+watched = ("json", "fractions", "dataclasses", "inspect", "argparse", "gettext", "locale", "__future__")
 print(" ".join(sorted(m for m in sys.modules if m.startswith("pin2k") or m in watched)))
 """
 
@@ -53,10 +53,13 @@ def loaded_modules(*argv):
 def test_each_command_loads_only_its_layers(argv, layers):
     # no path may load dataclasses, inspect, argparse, gettext, locale or
     # __future__: all are start-up cost only.  json comes with --json, and
-    # with --chain, whose argument is JSON
+    # with --chain, whose argument is JSON; fractions only where a kappa is
+    # printed, the brieskorn and xi commands
     expected = {"pin2k", "pin2k.cli"} | {f"pin2k.{layer}" for layer in layers}
     if "--chain" in argv:
         expected.add("json")
+    if argv[:1] in (("brieskorn",), ("xi",)):
+        expected.add("fractions")
     assert loaded_modules(*argv) == expected
     if argv:
         assert loaded_modules(*argv, "--json") == expected | {"json"}

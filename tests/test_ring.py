@@ -252,6 +252,14 @@ class TestArithmetic:
         # degree; counted as 100001, this product would be over the cap
         assert parse("z^100000*(1+z)^400").poly == (0,) * 100000 + parse("(1+z)^400").poly
         assert parse("-(1+z)^2^2*-w") == parse("(1+z)^4") * W
+        # a sum is bounded by its terms: the longest length, the nonzero
+        # coefficients up to that length, and the largest bits plus the bits
+        # of the number of terms, so 2047 * 2047 * (2 * (2047 + 2) + 11)
+        message = f"^a product of work 17217568781 is over the limit of {MAX_POWER_WORK}$"
+        with pytest.raises(ValueError, match=message):
+            parse("((1+z)^2046+0)*((1+z)^2046+0)")
+        assert parse("(z^3 - (1+z)^2 + 4)*(2 - w)") == (z_pow(3) - (ONE + Z) ** 2 + 4) * (2 - W)
+        assert parse("+".join(["1"] * 10**4)) == RingElem(0, (10**4,))
 
     def test_big_integers_do_not_overflow(self):
         x = z_pow(40) + W

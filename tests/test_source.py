@@ -222,6 +222,7 @@ cases = [
     lambda: SpectrumClass(SwfSpace(RepSphere()), 0, Fraction(1, 32)),
     lambda: SwfSpace(1),
     lambda: SwfSpace(RepSphere(), [True]),
+    lambda: SpectrumClass(RepSphere(0, 1)),
 ]
 print(sys.flags.optimize)
 for case in cases:
@@ -251,4 +252,5 @@ for case in cases:
         "UnsupportedBlockError n must have denominator dividing 16",
         "UnsupportedBlockError unsupported base block 1",
         "UnsupportedBlockError free cells must be int degrees",
+        "UnsupportedBlockError unsupported space RepSphere(t=0, l=1)",
     ]

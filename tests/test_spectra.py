@@ -122,6 +122,9 @@ class TestBlockIdeals:
                 SpectrumClass(space(GroupSuspension(), 1), m, 0)
         with pytest.raises(UnsupportedBlockError):
             SpectrumClass(space(RepSphere(0, 0)), 0, Fraction(1, 3))
+        # a class holds a space, not a bare block: this ended in an AttributeError from kappa()
+        with pytest.raises(UnsupportedBlockError, match=r"^unsupported space RepSphere\(t=0, l=1\)$"):
+            SpectrumClass(RepSphere(0, 1))
 
 
 class TestKappaAndSuspension:
