@@ -54,6 +54,15 @@ def _poly_add(p, q):
     return _strip(out)
 
 
+def _poly_sub(p, q):
+    """P - Q in one pass over Q, with no negated copy of it."""
+    out = list(p)
+    out += [0] * (len(q) - len(p))
+    for i, c in enumerate(q):
+        out[i] -= c
+    return _strip(out)
+
+
 def _poly_mul(p, q):
     if not p or not q:
         return ()
@@ -84,10 +93,18 @@ class RingElem(Record):
     The constructor takes ints and bools for wcoef and the coefficients of
     poly (any iterable), stores them as int, refuses any other value with a
     TypeError and drops trailing zeros from poly.  A poly that is already a
-    tuple of ints without trailing zeros is kept, not copied.  It
-    sets the fields itself, not through Record.__init__, since every ring
-    operation builds one.  Powers, whose results are normal forms by
-    construction, build through the unchecked _make instead.
+    tuple of ints without trailing zeros is kept, not copied.  It sets the
+    fields itself, not through Record.__init__, since every int operand is
+    coerced through it.
+
+    The results of +, -, unary -, *, ** and z_pow build through the
+    unchecked _make instead.  They are normal forms by construction: their
+    operands are RingElems, an int or bool operand having passed the
+    constructor in _coerce, so every coefficient is an int, and _strip or a
+    nonzero top coefficient leaves no trailing zero.  The constructor keeps
+    every check, because every value from outside reaches a RingElem through
+    it (a caller's arguments, the ideals' tables, the parser's literals), and
+    _make would store a float or a padded tuple as it is.
     """
 
     __slots__ = ("wcoef", "poly")
@@ -126,24 +143,24 @@ class RingElem(Record):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RingElem(self.wcoef + other.wcoef, _poly_add(self.poly, other.poly))
+        return RingElem._make(self.wcoef + other.wcoef, _poly_add(self.poly, other.poly))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RingElem(-self.wcoef, tuple(-c for c in self.poly))
+        return RingElem._make(-self.wcoef, tuple(-c for c in self.poly))
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return RingElem._make(self.wcoef - other.wcoef, _poly_sub(self.poly, other.poly))
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         # (lam*w + P)(mu*w + Q) = (2*lam*mu + lam*Q(2) + mu*P(2))*w + P*Q,
@@ -157,7 +174,7 @@ class RingElem(Record):
             wpart += lam * _at_two(other.poly)
         if mu:
             wpart += mu * _at_two(self.poly)
-        return RingElem(wpart, _poly_mul(self.poly, other.poly))
+        return RingElem._make(wpart, _poly_mul(self.poly, other.poly))
 
     __rmul__ = __mul__
 
@@ -306,7 +323,7 @@ def const(n):
 def z_pow(k):
     if k < 0:
         raise ValueError("z exponent must be nonnegative")
-    return RingElem(0, (0,) * k + (1,))
+    return RingElem._make(0, (0,) * k + (1,))
 
 
 def w_pow(k):

@@ -247,6 +247,21 @@ class TestMembership:
                 x = RingElem(lam, poly)
             expected = ideal_member_oracle(raw, (x.poly, x.wcoef))
             assert form.contains(x) == expected, (raw, x)
+        # the benchmark's shape: 1 to 3 generators of degree <= 6 with c <= 9,
+        # and elements of degree <= 40, two in three of them members shifted by z^j
+        members = 0
+        for _ in range(60):
+            raw = [random_pair(rng, 6, 9, 9) for _ in range(rng.randint(1, 3))]
+            form = ideal_from_generators(gens_to_elems(raw))
+            if rng.random() < 2 / 3:
+                x = random_combination(rng, raw) * z_pow(rng.randint(0, 34))
+            else:
+                poly, lam = random_pair(rng, 40, 9, 9)
+                x = RingElem(lam, poly)
+            expected = ideal_member_oracle(raw, (x.poly, x.wcoef))
+            assert form.contains(x) == expected, (raw, x)
+            members += expected
+        assert 30 < members < 60  # both verdicts, as in the benchmark's mix
 
 
 class TestEqualsSumProduct:

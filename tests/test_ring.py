@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 import time
@@ -110,6 +111,21 @@ class TestParse:
             a, b = _equivalent_expressions(rng)
             assert parse(a) == parse(b), (a, b)
 
+    def test_seeded_expression_corpus_digest(self):
+        # pins the value or the error of 5,000 seeded expressions: sums,
+        # differences and products, some raised to a power, negated, or
+        # broken by one inserted character; the digest was written before
+        # the ring operations returned through RingElem._make
+        lines = []
+        for text in _expression_corpus(random.Random(20261019), 5000):
+            try:
+                lines.append(repr(parse(text)))
+            except ValueError as error:
+                lines.append(f"{type(error).__name__}: {error}")
+        assert sum(line.startswith("ParseError") for line in lines) == 411
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "d9bfbffdb84dfc79b252c9ff0acf5ff14e7121ddc234f6b191fa0c9c6b7855aa"
+
 
 def _random_tree(rng, depth):
     if depth == 0 or rng.random() < 0.3:
@@ -128,6 +144,20 @@ def _render(tree, swap):
     if swap and op in "+*":
         a, b = b, a
     return f"({a} {op} {b})"
+
+
+def _expression_corpus(rng, n):
+    for _ in range(n):
+        text = _render(_random_tree(rng, rng.randint(1, 6)), rng.random() < 0.5)
+        r = rng.random()
+        if r < 0.2:
+            text = f"({text})^{rng.randint(0, 5)}"
+        elif r < 0.3:
+            text = "-" + text
+        elif r < 0.4:
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice("()+-*^~q ") + text[i:]
+        yield text
 
 
 def _equivalent_expressions(rng):
@@ -152,6 +182,7 @@ class TestArithmetic:
         assert x * ONE == x
         assert x + ZERO == x
         assert (x + (-x)).is_zero()
+        assert x - y == x + (-y)
 
     @given(elems, elems)
     def test_mul_matches_matrix_oracle(self, x, y):
@@ -192,11 +223,17 @@ class TestArithmetic:
             with pytest.raises(TypeError, match=f"^RingElem {re.escape(message)}$"):
                 RingElem(*args)
 
-    def test_operations_stay_in_normal_form(self):
-        # the constructor keeps the tuples the operations build, so those must be normal
-        for x in (z_pow(2) - z_pow(2), W - W, (Z + 1) * (Z - 1) + 1, True * Z, Z + False, -(W * 0)):
-            assert not x.poly or x.poly[-1] != 0, x
-            assert all(type(c) is int for c in (x.wcoef, *x.poly)), x
+    @given(elems, elems, st.one_of(coeffs, st.booleans()), st.integers(0, 40))
+    def test_operations_stay_in_normal_form(self, x, y, n, k):
+        # the operations return through the trusted _make, so each result
+        # must be the normal form the validating constructor would build
+        results = [x + y, x - y, -x, x * y, x - x, x + (-x), z_pow(k)]
+        results += [x + n, n + x, x - n, n - x, x * n, n * x]
+        results += [z_pow(2) - z_pow(2), W - W, (Z + 1) * (Z - 1) + 1, True * Z, Z + False, -(W * 0)]
+        results += [3 - Z, Z - True, False * Z, True - W]
+        for r in results:
+            assert_normal(r)
+        assert n - x == -(x - n) and x - n == x + (-n)
         assert (z_pow(2) - z_pow(2)) == ZERO and (Z + 1) * (Z - 1) + 1 == z_pow(2)
 
     @given(st.one_of(elems, st.just(ZERO), st.builds(RingElem, coeffs)), st.integers(0, 8))
@@ -269,8 +306,8 @@ class TestArithmetic:
 
 
 def assert_normal(x):
-    # the trusted constructor binds what it is given, so the powers built
-    # through it must hand it the normal form the validating constructor would
+    # the trusted constructor binds what it is given, so the ring operations
+    # and powers must hand it the normal form the validating constructor would
     assert type(x.wcoef) is int and type(x.poly) is tuple
     assert all(type(c) is int for c in x.poly) and (not x.poly or x.poly[-1] != 0)
     assert x == RingElem(x.wcoef, x.poly)
