@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pin2k import bounds
 from pin2k.bounds import (
     BoundaryData,
     IntersectionForm,
@@ -16,6 +17,7 @@ from pin2k.bounds import (
     conjecture_11_8,
     definite_bound,
     furuta_closed,
+    manifold_kappa,
     orbifold_bound,
     parse_chain,
     parse_manifold,
@@ -237,3 +239,44 @@ class TestXi:
             parse_manifold("Sigma(2,3,9)")
         with pytest.raises(UnknownManifoldError):
             parse_manifold("lens(7,1)")
+
+
+class TestStoredFillings:
+    """The stored fillings against the package's own theorems: a typo in a
+    table would otherwise be pinned by the golden xi table as if it were right."""
+
+    MANIFOLDS = [row.manifold for row in xi_table_rows()] + [
+        parse_manifold(f"{sign}Sigma(2,3,{m})") for m in (7, 11, 13, 25) for sign in ("", "-")
+    ]
+
+    def test_each_filling_passes_the_bounds(self):
+        # a filling (p, q) of Y is a spin cobordism from the KG-split S^3 to Y
+        checked = 0
+        for manifold in self.MANIFOLDS:
+            kappa = int(manifold_kappa(manifold))
+            for p, q, source in bounds._fillings(manifold):
+                where = (manifold.label(), source)
+                assert relative_10_8(0, kappa, p, q).status is Status.SATISFIED, where
+                assert rokhlin_consistency(0, kappa, p).status is Status.SATISFIED, where
+                if q > 0:
+                    assert split_bound(0, kappa, p, q).status is Status.SATISFIED, where
+                checked += 1
+        assert checked == 30
+
+    @pytest.mark.parametrize(
+        "y,piece,complement",
+        [
+            ("Sigma(2,3,11)", "nucleus N(2n)", "K3 minus the nucleus"),
+            ("Sigma(2,3,7)", "-E10 plumbing", "K3 minus the -E10 plumbing"),
+        ],
+    )
+    def test_complementary_fillings_glue_to_k3(self, y, piece, complement):
+        # forms add when two pieces are glued along a homology sphere: a
+        # filling of -Y and one of Y make a closed spin manifold
+        def filling(name, source):
+            (form,) = [(p, q) for p, q, src in bounds._fillings(parse_manifold(name)) if src == source]
+            return form
+
+        (p1, q1), (p2, q2) = filling("-" + y, piece), filling(y, complement)
+        assert (p1 + p2, q1 + q2) == filling("S3", "K3 minus a ball") == (2, 3)
+        assert furuta_closed(p1 + p2, q1 + q2).status is Status.SATISFIED

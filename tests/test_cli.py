@@ -18,11 +18,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cli_transcript
+from cli_transcript import readme_commands
 from pin2k import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
-README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -296,12 +297,6 @@ class TestUsage:
         assert out.startswith(" ".join(["usage: pin2k", *argv]))
 
 
-def readme_commands():
-    """The pin2k lines of README's sh blocks."""
-    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"), re.S | re.M)
-    return [line for block in blocks for line in block.splitlines() if line.startswith("pin2k ")]
-
-
 def test_readme_has_cli_examples():
     assert len(readme_commands()) >= 10
 
@@ -311,6 +306,12 @@ def test_readme_example(capsys, line):
     # exit 1 only where the example's comment says so
     code, out, err = run(capsys, *shlex.split(line, comments=True)[1:])
     assert (code, err) == (1 if "exit 1" in line else 0, "") and out
+
+
+def test_transcript_is_golden():
+    # every call of tests/cli_transcript.py answers as when the golden file
+    # was written: exit code, stdout and stderr, byte for byte
+    assert cli_transcript.transcript() == cli_transcript.GOLDEN.read_bytes().decode("utf-8")
 
 
 class TestRing:

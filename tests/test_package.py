@@ -40,10 +40,13 @@ def loaded_modules(*argv):
         ((), set()),
         (("ring", "eval", "z + 1"), {"ring"}),
         (("ideal", "info", "--gens", "w,z"), {"ring", "ideals"}),
+        (("ideal", "contains", "--gens", "z^2", "--element", "2*w"), {"ring", "ideals"}),
         (("bounds", "furuta", "--p", "2", "--q", "3"), {"bounds"}),
+        (("bounds", "split", "--p", "2", "--q", "3", "--non-split", "--refined"), {"bounds"}),
         (("bauer", "canonical", "--pieces", "3"), {"bounds"}),
         (("bauer", "check", "--chain", '[{"p": 2, "q": 3}]'), {"bounds"}),
         (("brieskorn", "kappa", "2", "3", "11"), {"spectra"}),
+        (("brieskorn", "kappa", "2", "3", "7", "--orient", "-"), {"spectra"}),
         (("xi", "show", "S3"), {"spectra", "bounds"}),
         (("brieskorn", "class", "2", "3", "13", "--orient", "-"), {"spectra"}),
         (("brieskorn", "table", "--max-m", "100"), {"spectra"}),
