@@ -10,9 +10,13 @@ queries, from 0 up to MAX_KMAX.
 
 Each subcommand imports the layers it runs when it runs, and json only for
 --json or a --chain, so start-up pays for nothing else.  For the same
-reason the command line is read by a short parser over those tables, with
-argparse's rules and messages but not argparse, and the process ends in
-run() without the interpreter's teardown.
+reason a plain call is read directly against those tables: the command,
+one of its actions, then only that action's flags and --json spelt in
+full, and values that are - or do not start with -.  Every other command
+line goes to argparse, imported only for it and built from the same
+tables, which gives every usage error, every --help and its own rules for
+--, --flag=value and negative numbers.  The process ends in run() without
+the interpreter's teardown.
 """
 
 import os
@@ -85,8 +89,8 @@ def _frac_json(value):
 
 # Each command's table maps its actions to the arguments each one reads
 # besides --json, as (name, options) in argparse's add_argument terms (type,
-# choices, default, required, dest, store_true/store_false, help); _scan
-# reads exactly these.
+# choices, default, required, dest, store_true/store_false, help); _plain
+# reads exactly these, and the argparse parser adds them as they stand.
 _RING = dict.fromkeys(["eval", "augment", "restrict", "wmul"], [("expr", {})])
 
 
@@ -317,7 +321,6 @@ def _cmd_bauer(args):
 
 # -- parser ----------------------------------------------------------------------------
 
-_HELP = {"action": "help"}
 _JSON = ("--json", {"action": "store_true", "help": "print the answer as one JSON object"})
 
 
@@ -336,164 +339,88 @@ def _commands():
 
 
 class _Args:
-    """A parsed call: command, action, json and a field per argument."""
+    """A plain call: command, action, json and a field per argument."""
 
     def __init__(self, fields):
         self.__dict__.update(fields)
 
 
-def _fail(message):
-    return SystemExit(_usage_error(message))
+def _plain(argv, commands):
+    """The _Args of a plain call, or None for any other argv.
 
-
-def _dest(name, options):
-    return options.get("dest", name.lstrip("-").replace("-", "_"))
-
-
-def _synopsis(arguments):
-    """The arguments as a usage line writes them."""
-    words = []
-    for name, options in arguments:
-        word = options.get("rest") or name
-        if name[0] == "-" and "action" not in options:
-            metavar = "{%s}" % ",".join(options["choices"]) if "choices" in options else _dest(name, options).upper()
-            word += " " + metavar
-        words.append(word if name[0] != "-" or options.get("required") else f"[{word}]")
-    return " ".join(words)
-
-
-def _help(prog, about, arguments):
-    """The --help block of prog: its usage, what it is for, and a line per
-    command or action it chooses from, or per argument it reads."""
-    first = arguments[0][1]
-    if "row" in first:
-        rows = [(name, first["row"](entry)) for name, entry in first["choices"].items()]
-    else:
-        rows = [(name, options.get("help", "")) for name, options in arguments]
-    width = max(len(name) for name, _ in rows)
-    lines = [f"  {name:<{width}}  {text}".rstrip() for name, text in rows]
-    return "\n".join([f"usage: {prog} {_synopsis(arguments)}", "", about, "", *lines])
-
-
-def _value(name, options, text):
-    """text as the value of an argument, converted by its type and checked
-    against its choices."""
-    if "type" in options:
-        try:
-            text = options["type"](text)
-        except (TypeError, ValueError):
-            raise _fail(f"argument {name}: invalid {options['type'].__name__} value: {text!r}") from None
-    choices = options.get("choices")
-    if choices is not None and text not in choices:
-        raise _fail(f"argument {name}: invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})")
-    return text
-
-
-def _is_negative_number(token):
-    # argparse's -\d+ or -\d*\.\d+, whose $ also matches before a final newline
-    body = token[1:-1] if token.endswith("\n") else token[1:]
-    whole, dot, fraction = body.partition(".")
-    return body.isdecimal() or bool(dot) and (not whole or whole.isdecimal()) and fraction.isdecimal()
-
-
-def _scan(argv, arguments, extras, prog, about):
-    """The values, by dest, of one level of argv read against arguments,
-    (name, options) pairs as in the command tables, by argparse's rules.
-
-    A token is a flag if it names one, also as --flag=value, or is -h with
-    more h's; any other token that starts with - is an unknown flag, unless
-    it is -, a negative number or has a space.  The first -- ends the flags
-    and is dropped next to a positional that fills an argument.  Positionals
-    fill the arguments in order; one with "rest" takes its token and all
-    that follow as a list.  Unknown flags and surplus positionals go to
-    extras.  A usage error, and --help once prog's help is printed, raise
-    SystemExit.
+    A plain call is a command, one of its actions, and then only the
+    action's flags and --json, each spelt in full, and values: - or any
+    token that does not start with -.  A flag that takes a value reads the
+    next token, which must be a value; the other values fill the
+    positionals in order.  Each value passes its type and choices, every
+    required argument is given and no token is left over.
     """
-    flags = {"-h": _HELP, "--help": _HELP, **{name: options for name, options in arguments if name[0] == "-"}}
-    pending = [(name, options) for name, options in arguments if name[0] != "-"]
-    values = {
-        _dest(name, options): options["action"] == "store_false" if "action" in options else options.get("default")
-        for name, options in arguments
-        if name[0] == "-"
-    }
-    end = argv.index("--") if "--" in argv else len(argv)
-    seen, filled, i = set(), False, 0  # filled: the last token filled a positional
-
-    def flag(i):  # (name, explicit value or None) for a flag, ("", None) for an unknown one, None for a positional
-        token = argv[i]
-        if i >= end or token[:1] != "-" or token == "-":
-            return None
+    if len(argv) < 2 or argv[0] not in commands or argv[1] not in commands[argv[0]][2]:
+        return None
+    fields, flags, positionals, missing = {"command": argv[0], "action": argv[1]}, {}, [], set()
+    for name, options in [*commands[argv[0]][2][argv[1]], _JSON]:
+        dest = options.get("dest", name.lstrip("-").replace("-", "_"))
+        if name[0] != "-":
+            positionals.append((dest, options))
+            continue
+        flags[name] = dest, options
+        fields[dest] = options["action"] == "store_false" if "action" in options else options.get("default")
+        if options.get("required"):
+            missing.add(name)
+    tokens = iter(argv[2:])
+    for token in tokens:
         if token in flags:
-            return token, None
-        name, eq, value = token.partition("=")
-        if eq and name in flags:
-            return name, value
-        if token[:2] == "-h":  # -hh is -h -h; any other tail is a value of -h
-            return "-h", token[2:].lstrip("h") or None
-        return None if _is_negative_number(token) or " " in token else ("", None)
-
-    while i < len(argv):
-        token, found, after_fill, filled = argv[i], flag(i), filled, False
-        i += 1
-        if found is None:
-            if pending and pending[0][1].get("rest") and argv[i - 1 :] != ["--"]:
-                name, options = pending.pop(0)
-                values[name] = [_value(name, options, token), *argv[i:]]
-                break
-            if i - 1 == end:
-                if not (after_fill or pending and i < len(argv)):
-                    extras.append(token)
-            elif pending:
-                name, options = pending.pop(0)
-                values[_dest(name, options)] = _value(name, options, token)
-                filled = True
-            else:
-                extras.append(token)
-            continue
-        name, explicit = found
-        if not name:
-            extras.append(token)
-            continue
-        options = flags[name]
-        if "action" in options:
-            if explicit is not None:
-                label = "-h/--help" if options is _HELP else name
-                raise _fail(f"argument {label}: ignored explicit argument {explicit!r}")
-            if options is _HELP:
-                print(_help(prog, about, arguments))
-                raise SystemExit(0)
-            values[_dest(name, options)] = options["action"] == "store_true"
+            missing.discard(token)
+            dest, options = flags[token]
+            if "action" in options:  # a switch
+                fields[dest] = options["action"] == "store_true"
+                continue
+            token = next(tokens, None)
+        elif positionals:
+            dest, options = positionals.pop(0)
         else:
-            if explicit is None:
-                if i >= end or flag(i) is not None:
-                    raise _fail(f"argument {name}: expected one argument")
-                explicit, i = argv[i], i + 1
-            values[_dest(name, options)] = _value(name, options, explicit)
-        seen.add(name)
-    unfilled = [name for name, _ in pending]
-    missing = [name for name, options in arguments if name in unfilled or options.get("required") and name not in seen]
-    if missing:
-        raise _fail(f"the following arguments are required: {', '.join(missing)}")
-    return values
+            return None
+        if token is None or token[:1] == "-" and token != "-":
+            return None
+        try:
+            value = options["type"](token) if "type" in options else token
+        except (TypeError, ValueError):
+            return None
+        if "choices" in options and value not in options["choices"]:
+            return None
+        fields[dest] = value
+    return None if positionals or missing else _Args(fields)
+
+
+def _raise_usage(parser, message):
+    """error() of the argparse parsers: one error line, exit code 2 and no
+    usage block."""
+    raise SystemExit(_usage_error(message))
+
+
+def _argparser(commands):
+    """argparse over the command tables, for every argv that is not a plain
+    call: a sub-parser per command and per action, no abbreviations at any
+    level."""
+    import argparse
+
+    parser_class = type("_Parser", (argparse.ArgumentParser,), {"error": _raise_usage})
+    about = "Exact calculator for Pin(2) representation-ring ideals, spectrum classes and spin intersection forms."
+    parser = parser_class(prog="pin2k", description=about, allow_abbrev=False)
+    command_parsers = parser.add_subparsers(dest="command", required=True)
+    for command, (summary, _, actions) in commands.items():
+        command_parser = command_parsers.add_parser(command, help=summary, description=summary, allow_abbrev=False)
+        action_parsers = command_parser.add_subparsers(dest="action", required=True)
+        for action, arguments in actions.items():
+            action_parser = action_parsers.add_parser(action, description=summary, allow_abbrev=False)
+            for name, options in [*arguments, _JSON]:
+                action_parser.add_argument(name, **options)
+    return parser
 
 
 def _parse(argv, commands):
-    """The _Args of argv, read in three levels: pin2k, the command, the action."""
-    extras = []
-
-    def route(name, spelt, choices, row):  # a positional that names the next level; row(choice) for --help
-        return [(name, {"choices": choices, "rest": spelt, "row": row})]
-
-    about = "Exact calculator for Pin(2) representation-ring ideals, spectrum classes and spin intersection forms."
-    top = route("command", "<command> <action> ...", commands, lambda entry: entry[0])
-    command, *argv = _scan(argv, top, extras, "pin2k", about)["command"]
-    about, _, actions = commands[command]
-    middle = route("action", "<action> ...", actions, lambda arguments: _synopsis([*arguments, _JSON]))
-    action, *argv = _scan(argv, middle, extras, f"pin2k {command}", about)["action"]
-    values = _scan(argv, [*actions[action], _JSON], extras, f"pin2k {command} {action}", about)
-    if extras:
-        raise _fail(f"unrecognized arguments: {' '.join(extras)}")
-    return _Args({"command": command, "action": action, **values})
+    """The fields of argv: a plain call's read directly, any other argv's by argparse."""
+    return _plain(argv, commands) or _argparser(commands).parse_args(argv)
 
 
 def main(argv=None):

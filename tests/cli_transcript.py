@@ -33,19 +33,6 @@ def readme_commands():
     return [line for block in blocks for line in block.splitlines() if line.startswith("pin2k ")]
 
 
-XI_ROWS = [
-    "S3",
-    "Sigma(2,3,12n-1)",
-    "Sigma(2,3,11)",
-    "-Sigma(2,3,12n-1)",
-    "Sigma(2,3,12n-5)",
-    "Sigma(2,3,7)",
-    "-Sigma(2,3,12n-5)",
-    "Sigma(2,3,12n+1)",
-    "-Sigma(2,3,12n+1)",
-    "Sigma(2,3,12n+5)",
-    "-Sigma(2,3,12n+5)",
-]
 BRIESKORN_M = [7, 11, 13, 17, 23, 25, 601, 4001]
 BOUNDS = [
     "definite --kappa0 2 --kappa1 0 --b2 8",
@@ -120,8 +107,10 @@ USAGE = [
 
 def calls():
     """Every call of the transcript, as the tokens of its command line, each once."""
+    from pin2k.bounds import _XI_TABLE_ROWS
+
     lines = [*readme_commands()]
-    for row in XI_ROWS:
+    for row in _XI_TABLE_ROWS:
         # a row that starts with - follows --, so --json comes before it
         spelt = f"-- {shlex.quote(row)}" if row.startswith("-") else shlex.quote(row)
         lines += [f"pin2k xi show {spelt}", f"pin2k xi show --json {spelt}"]
@@ -144,7 +133,7 @@ def run(tokens):
     """The transcript block of one call: its stdout, its stderr and its exit
     code, with PIN2K_KMAX set only as its command line sets it."""
     at = tokens.index("pin2k")
-    env, argv = dict(token.split("=", 1) for token in tokens[:at]), tokens[at + 1 :]
+    env, argv = dict(token.split("=", 1) for token in tokens[:at]), list(tokens[at + 1 :])
     from pin2k import cli
 
     saved = os.environ.pop("PIN2K_KMAX", None)

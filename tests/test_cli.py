@@ -19,7 +19,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cli_transcript
-from cli_transcript import readme_commands
 from pin2k import cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -298,10 +297,10 @@ class TestUsage:
 
 
 def test_readme_has_cli_examples():
-    assert len(readme_commands()) >= 10
+    assert len(cli_transcript.readme_commands()) >= 10
 
 
-@pytest.mark.parametrize("line", readme_commands())
+@pytest.mark.parametrize("line", cli_transcript.readme_commands())
 def test_readme_example(capsys, line):
     # exit 1 only where the example's comment says so
     code, out, err = run(capsys, *shlex.split(line, comments=True)[1:])
@@ -849,7 +848,7 @@ def outcome(parse, argv):
     return "ok", fields
 
 
-# one argv for each reading rule of cli._scan, run every time
+# one argv for each edge rule of argparse's reading, run every time
 @example(["xi", "show", "--", "S3"])
 @example(["ring", "eval", "1", "--"])
 @example(["xi", "table", "--"])
