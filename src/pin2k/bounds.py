@@ -402,8 +402,8 @@ def xi_bounds(manifold) -> XiBounds:
     up_fill = min((q + p - 1 for p, q, _ in fillings), default=None)
     up_orb = _ORBIFOLD_UPPER.get((manifold.sign, manifold.family))
     kappa = manifold_kappa(manifold)
-    if kappa.denominator != 1:
-        raise UnknownManifoldError("kappa is not an integer for this input")
+    if kappa.denominator != 1:  # a stored family or block is wrong, not the input
+        raise RuntimeError(f"kappa = {kappa} of {manifold.label()} is not an integer")
     up_kappa = int(kappa) - 1
 
     uppers = [u for u in (up_fill, up_orb, up_kappa) if u is not None]

@@ -64,7 +64,7 @@ def _emit(args, table_text, payload):
         import json
 
         print(json.dumps(payload, sort_keys=True))
-    else:
+    elif table_text:  # an empty table prints nothing
         print(table_text)
 
 
@@ -138,8 +138,7 @@ def _cmd_ideal(args):
             k = form.k_invariant()
         except ideals.IdealError:
             k = None
-        basis = [str(b) for b in form.basis]
-        payload = {"basis": basis, "e": form.e, "d": form.d, "k": k, "kg_split": form.is_kg_split()}
+        payload = {**form._asdict(), "basis": [str(b) for b in form.basis], "k": k, "kg_split": form.is_kg_split()}
         text = _report(payload, "basis", ", ")
     elif args.action == "contains":
         x = ring.parse(args.element)
@@ -162,13 +161,6 @@ def _cmd_ideal(args):
 
 
 # -- brieskorn -------------------------------------------------------------------
-
-
-def _check_seifert(a, b):
-    from . import spectra
-
-    if (a, b) != (2, 3):
-        raise spectra.UnsupportedSeifertDataError(f"only Sigma(2,3,m) is supported, got ({a},{b},...)")
 
 
 def _brieskorn_payload(m, orientation):
@@ -199,24 +191,16 @@ def _cmd_brieskorn(args):
     if args.action == "table":
         if args.max_m > MAX_TABLE_M:
             raise spectra.UnsupportedSeifertDataError(f"--max-m {args.max_m} is over the limit of {MAX_TABLE_M}")
-        rows = []
-        for m in range(7, args.max_m + 1):
-            if m % 2 == 0 or m % 3 == 0:
-                continue
-            for orient in ("+", "-"):
-                kappa = spectra.brieskorn_kappa(m, orient)
-                rows.append({"m": m, "orientation": orient, "kappa": _frac_json(kappa)})
-        if args.json:
-            import json
-
-            print(json.dumps({"rows": rows}, sort_keys=True))
-        else:
-            for row in rows:
-                sign = "" if row["orientation"] == "+" else "-"
-                print(f"kappa({sign}Sigma(2,3,{row['m']})) = {row['kappa']}")
+        ms = [m for m in range(7, args.max_m + 1) if m % 2 and m % 3]
+        kappas = [(m, o, _frac_json(spectra.brieskorn_kappa(m, o))) for m in ms for o in "+-"]
+        rows = [{"m": m, "orientation": o, "kappa": kappa} for m, o, kappa in kappas]
+        # the reversed orientation's label starts with -
+        lines = [f"kappa({o.strip('+')}Sigma(2,3,{m})) = {kappa}" for m, o, kappa in kappas]
+        _emit(args, "\n".join(lines), {"rows": rows})
         return 0
 
-    _check_seifert(args.a, args.b)
+    if (args.a, args.b) != (2, 3):
+        raise spectra.UnsupportedSeifertDataError(f"only Sigma(2,3,m) is supported, got ({args.a},{args.b},...)")
     if args.action == "kappa":
         # kappa is constant on the family of m; only the JSON, which lists the
         # blocks, needs the class of m
@@ -398,9 +382,10 @@ def _raise_usage(parser, message):
     raise SystemExit(_usage_error(message))
 
 
-def _argparser(commands):
+def _argparser(argv, commands):
     """argparse over the command tables, for every argv that is not a plain
-    call: a sub-parser per command and per action, no abbreviations at any
+    call: a sub-parser per command, and per action of each command that argv
+    names, since argparse reads only that one; no abbreviations at any
     level."""
     import argparse
 
@@ -410,6 +395,8 @@ def _argparser(commands):
     command_parsers = parser.add_subparsers(dest="command", required=True)
     for command, (summary, _, actions) in commands.items():
         command_parser = command_parsers.add_parser(command, help=summary, description=summary, allow_abbrev=False)
+        if command not in argv:
+            continue
         action_parsers = command_parser.add_subparsers(dest="action", required=True)
         for action, arguments in actions.items():
             action_parser = action_parsers.add_parser(action, description=summary, allow_abbrev=False)
@@ -420,7 +407,7 @@ def _argparser(commands):
 
 def _parse(argv, commands):
     """The fields of argv: a plain call's read directly, any other argv's by argparse."""
-    return _plain(argv, commands) or _argparser(commands).parse_args(argv)
+    return _plain(argv, commands) or _argparser(argv, commands).parse_args(argv)
 
 
 def main(argv=None):

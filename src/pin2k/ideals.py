@@ -19,7 +19,8 @@ so every shift has bit 0; and the w-action lands in Z*e*w.  The pair (0, 1)
 is (e/2)*w, so d = e/2 if some element reduces to (0, 1), else d = e, and
 d = 0 when e = 0.  The basis element with polynomial B and bit beta gets
 lam = (e*beta - B(2))/2, reduced mod d when d != 0.  Completion raises
-IdealError unless d | e and e | 2d, which a wrong bit would break.
+RuntimeError, as a bug and not a fault of the input, unless d | e and
+e | 2d, which a wrong bit would break.
 
 Completion terminates: same-degree elements merge by extended-gcd steps,
 which never raise the polynomial degree; the z-shift of every kept element
@@ -262,9 +263,9 @@ def ideal_from_generators(gens):
 
     d = e // 2 if half else e
     if e % d if d else e:  # d | e, and 0 divides only 0
-        raise IdealError(f"completion broke d | e (e = {e}, d = {d})")
+        raise RuntimeError(f"completion broke d | e (e = {e}, d = {d})")
     if e and 2 * d % e:
-        raise IdealError(f"completion broke e | 2d (e = {e}, d = {d})")
+        raise RuntimeError(f"completion broke e | 2d (e = {e}, d = {d})")
 
     # one ascending walk prunes, clamps and builds the basis.  Each pivot below
     # max_deg pushed its z-shift, so there is a pivot at every degree from the

@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import functools
+import importlib
 import io
 import itertools
 import json
@@ -12,6 +13,7 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -72,6 +74,23 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "_cmd_ring", crash)
         code, out, err = run(capsys, "ring", "eval", "1")
         assert (code, out, err) == (3, "", "internal error: RuntimeError: boom\\r\\nagain\n")
+
+    @pytest.mark.parametrize(
+        "target, value, command, message",
+        [
+            ("ideals.w_gcd", 5, "ideal info --gens 3*w", "completion broke d | e (e = 5, d = 2)"),
+            ("ideals.w_gcd", 3, "ideal info --gens 2*w", "completion broke e | 2d (e = 3, d = 1)"),
+            ("bounds.manifold_kappa", Fraction(1, 2), "xi show S3", "kappa = 1/2 of S^3 is not an integer"),
+        ],
+        ids=["d-divides-e", "e-divides-2d", "integral-kappa"],
+    )
+    def test_broken_invariant_is_internal(self, capsys, monkeypatch, target, value, command, message):
+        # these checks fail only through a bug or a bad stored table, never
+        # through the input, so they exit 3 and name the check and its values
+        module, name = target.split(".")
+        monkeypatch.setattr(importlib.import_module(f"pin2k.{module}"), name, lambda _: value)
+        code, out, err = run(capsys, *command.split())
+        assert (code, out, err) == (3, "", f"internal error: RuntimeError: {message}\n")
 
     def test_memory_error_is_two(self, capsys, monkeypatch):
         def exhaust(args):

@@ -21,6 +21,7 @@ from pin2k.ideals import (
 )
 from pin2k.ring import ONE, W, Z, RingElem, parse, w_pow, z_pow
 
+import completion_corpus
 from oracles import (
     ideal_member_oracle,
     random_combination,
@@ -227,6 +228,52 @@ class TestGoldenForms:
             assert got == want, i
 
 
+def oracle_problem(raw, form):
+    """What the oracles find wrong with form as the completion of the raw
+    generators, or None: e, each basis element's membership, each
+    generator's membership in the ideal of the basis, and d."""
+    if form.e != wmult_subgroup_oracle(raw):
+        return f"e = {form.e}, the oracle's is {wmult_subgroup_oracle(raw)}"
+    basis = [(b.poly, b.wcoef) for b in form.basis]
+    for pair in basis:
+        if not ideal_member_oracle(raw, pair):
+            return f"the basis element {RingElem(pair[1], pair[0])} is not a member"
+    for pair in raw:
+        if not ideal_member_oracle(basis, pair):
+            return f"the generator {RingElem(pair[1], pair[0])} is not in the ideal of the basis"
+    # d*w is a member, and d is e or e/2; d = e/2 exactly where (e/2)*w is a member
+    half = form.e % 2 == 0 and ideal_member_oracle(raw, ((), form.e // 2))
+    if form.d != (form.e // 2 if half else form.e):
+        return f"d = {form.d} with e = {form.e}"
+    return None
+
+
+class TestCompletionCorpus:
+    # the digest that tests/completion_corpus.py prints
+    DIGEST = "6e9815ecea556eaa9cf28a049021db78f1b0412e98b7ad40238f75e9248f023a"
+
+    def test_forms_match_the_digest(self):
+        sets = list(completion_corpus.corpus())
+        forms = completion_corpus.forms(sets)
+        digest = completion_corpus.digest(forms)
+        if digest == self.DIGEST:
+            return
+        for i, (raw, form) in enumerate(zip(sets, forms)):
+            problem = oracle_problem(raw, form)
+            assert problem is None, f"set {i}, {gens_to_elems(raw)}: {form!r} is wrong: {problem}"
+        pytest.fail(f"each form passes the oracles, so only their spelling changed; the digest is now {digest}")
+
+    def test_oracle_problem_names_a_wrong_form(self):
+        raw = [((0, 1), 0), ((), 2)]  # z and 2*w
+        form = ideal_from_generators(gens_to_elems(raw))
+        assert (oracle_problem(raw, form), form) == (None, z_power_ideal(1))
+        assert oracle_problem(raw, form._replace(e=4)) == "e = 4, the oracle's is 2"
+        assert oracle_problem(raw, form._replace(d=1)) == "d = 1 with e = 2"
+        assert oracle_problem(raw, form._replace(basis=(W, Z))) == "the basis element w is not a member"
+        wrong = form._replace(basis=(2 * W, Z**2))
+        assert oracle_problem(raw, wrong) == "the generator z is not in the ideal of the basis"
+
+
 class TestMembership:
     def test_examples(self):
         assert AUG.contains(z_pow(3))
@@ -262,6 +309,22 @@ class TestMembership:
             assert form.contains(x) == expected, (raw, x)
             members += expected
         assert 30 < members < 60  # both verdicts, as in the benchmark's mix
+        # up to degree 16: one or two generators with c <= 3, and three in four
+        # elements members, since the oracle takes about 10 ms to refuse one
+        # there and under 2 ms to accept one
+        members = 0
+        for _ in range(100):
+            raw = [random_pair(rng, 16, 3, 3) for _ in range(rng.randint(1, 2))]
+            form = ideal_from_generators(gens_to_elems(raw))
+            if rng.random() < 3 / 4:
+                x = random_combination(rng, raw)
+            else:
+                poly, lam = random_pair(rng, 16, 9, 9)
+                x = RingElem(lam, poly)
+            expected = ideal_member_oracle(raw, (x.poly, x.wcoef))
+            assert form.contains(x) == expected, (raw, x)
+            members += expected
+        assert 60 < members < 95
 
 
 class TestEqualsSumProduct:

@@ -208,6 +208,20 @@ class TestDuality:
                 cls = brieskorn_class(m, orient)
                 assert cls.dual().dual().normalize() == cls.normalize()
 
+    def test_dual_is_read_off_the_normal_form(self):
+        # on the normalized class the base kind goes to its partner, m to -m,
+        # n to suspended - n and each cell a to 4*suspended - 1 - a
+        partner = {RepSphere: RepSphere, GroupSuspension: TorusSuspension, TorusSuspension: GroupSuspension}
+        rng = random.Random(23)
+        for _ in range(500):
+            kind = rng.choice(list(partner))
+            cells = [rng.randint(-40, 40) for _ in range(rng.randint(0, 20))]
+            base = kind(rng.randint(0, 3), rng.randint(0, 3))
+            cls = SpectrumClass(space(base, *cells), rng.randint(-3, 3), Fraction(rng.randint(-64, 64), 16))
+            norm, s = cls.normalize(), kind.suspended
+            free = tuple(4 * s - 1 - a for a in norm.space.free)
+            assert cls.dual() == SpectrumClass(space(partner[kind](), *free), -norm.m, s - norm.n), cls
+
     def test_kappa_duality_inequality(self):
         for m in SUPPORTED_M:
             cls = brieskorn_class(m, "+")
