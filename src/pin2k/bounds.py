@@ -34,7 +34,7 @@ class MalformedChainError(BoundsError):
     pass
 
 
-class Status(Enum):
+class Status(str, Enum):
     SATISFIED = "satisfied"
     VIOLATED = "violated"
     INAPPLICABLE = "inapplicable"
@@ -431,9 +431,8 @@ def xi_table_rows():
     return [xi_bounds(name) for name in _XI_TABLE_ROWS]
 
 
-def emit_xi_table():
-    """Fixed-width report of every supported xi determination."""
-    rows = xi_table_rows()
+def emit_xi_table(rows):
+    """Fixed-width report of xi rows, such as xi_table_rows(), under a header."""
     header = f"{'manifold':<20} {'lower':>6} {'up(fill)':>9} {'up(orb)':>8} {'up(kappa)':>10} {'upper':>6}  xi"
     lines = [header, "-" * len(header)]
     for row in rows:
@@ -441,7 +440,7 @@ def emit_xi_table():
             f"{row.manifold.label():<20} {_cell(row.lower):>6} {_cell(row.upper_filling):>9} "
             f"{_cell(row.upper_orbifold):>8} {row.upper_kappa:>10} {row.upper:>6}  {row.xi_text()}"
         )
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)
 
 
 def _cell(value):

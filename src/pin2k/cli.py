@@ -21,6 +21,7 @@ the interpreter's teardown.
 
 import os
 import sys
+from types import SimpleNamespace
 
 from . import Pin2kError
 
@@ -215,11 +216,8 @@ def _cmd_brieskorn(args):
 # -- bounds ----------------------------------------------------------------------
 
 
-def _verdict_result(args, verdict, extra=None):
-    payload = {"status": verdict.status.value, "inequality": verdict.inequality}
-    if extra:
-        payload.update(extra)
-    _emit(args, f"{verdict.status.value.capitalize()}: {verdict.inequality}", payload)
+def _verdict_result(args, verdict, **extra):
+    _emit(args, f"{verdict.status.capitalize()}: {verdict.inequality}", {**verdict._asdict(), **extra})
     return verdict.exit_code()
 
 
@@ -264,13 +262,10 @@ _XI = {"table": [], "show": [("manifold", {"help": 'e.g. "Sigma(2,3,11)", "-Sigm
 def _cmd_xi(args):
     from . import bounds as fb
 
-    if args.action == "table" and not args.json:
-        sys.stdout.write(fb.emit_xi_table())
-        return 0
     rows = fb.xi_table_rows() if args.action == "table" else [fb.xi_bounds(args.manifold)]
     payloads = [{**row._asdict(), "manifold": row.manifold.label()} for row in rows]
     if args.action == "table":
-        text, payload = None, {"rows": payloads}
+        text, payload = fb.emit_xi_table(rows), {"rows": payloads}
     else:
         (row,), (payload,) = rows, payloads
         text = f"xi({payload['manifold']}) {row.xi_text('= ')}"
@@ -300,7 +295,7 @@ def _cmd_bauer(args):
     if not args.json:  # only the JSON echoes the chain
         return _verdict_result(args, verdict)
     echo = [{**form._asdict(), "boundary": None if b is None else b._asdict()} for form, b in chain]
-    return _verdict_result(args, verdict, {"chain": echo})
+    return _verdict_result(args, verdict, chain=echo)
 
 
 # -- parser ----------------------------------------------------------------------------
@@ -322,15 +317,8 @@ def _commands():
     }
 
 
-class _Args:
-    """A plain call: command, action, json and a field per argument."""
-
-    def __init__(self, fields):
-        self.__dict__.update(fields)
-
-
 def _plain(argv, commands):
-    """The _Args of a plain call, or None for any other argv.
+    """The fields of a plain call as a SimpleNamespace, or None for any other argv.
 
     A plain call is a command, one of its actions, and then only the
     action's flags and --json, each spelt in full, and values: - or any
@@ -373,7 +361,7 @@ def _plain(argv, commands):
         if "choices" in options and value not in options["choices"]:
             return None
         fields[dest] = value
-    return None if positionals or missing else _Args(fields)
+    return None if positionals or missing else SimpleNamespace(**fields)
 
 
 def _raise_usage(parser, message):

@@ -12,6 +12,7 @@ z = 2 - h.  The parser accepts both; storage is always in {w, z}.
 """
 
 import sys
+from functools import partial
 from itertools import compress
 from math import comb
 
@@ -33,6 +34,17 @@ MAX_POWER_WORK = 2**33
 # `z^23169`, just under this cap, takes about 0.8 s and `z^2000` (work 1.6e7)
 # 0.01 s; a dense polynomial of degree 800 (work 6.9e8) about 0.5 s.
 MAX_RESTRICT_WORK = 2**31
+
+
+def _cap(message, amount, limit):
+    """Refuses an amount over limit: message names it where {} stands, or, if
+    it has more digits than CPython converts to text, the power of two above it."""
+    if amount > limit:
+        try:
+            amount = str(amount)
+        except ValueError:
+            amount = f"2^{amount.bit_length()}"
+        raise ValueError(f"{message.format(amount)} is over the limit of {limit}")
 
 
 def _strip(coeffs):
@@ -191,8 +203,7 @@ class RingElem(Record):
         norm = max(sum(map(abs, self.poly)), 1)
         size, coef_bits = n * max(self.degree, 0) + 1, n * (norm - 1).bit_length() + 1
         bits = size * coef_bits + n * (max(abs(wmul), abs(p2), 1) - 1).bit_length()
-        if bits > MAX_POWER_BITS:
-            raise ValueError(f"a power of up to {bits} bits is over the limit of {MAX_POWER_BITS}")
+        _cap("a power of up to {} bits", bits, MAX_POWER_BITS)
         # each product of the squaring pairs the nonzero coefficients of one
         # factor, of which a power P^k of a t-term P has at most C(t + k - 1, k),
         # with at most `size` of the other, all of at most `coef_bits` bits; a
@@ -200,8 +211,7 @@ class RingElem(Record):
         terms = len(self.poly) - self.poly.count(0)
         terms = min(size, comb(terms + n - 1, n) if terms else 1)
         work = terms * size * coef_bits
-        if work > MAX_POWER_WORK:
-            raise ValueError(f"a power of work {work} is over the limit of {MAX_POWER_WORK}")
+        _cap("a power of work {}", work, MAX_POWER_WORK)
         return size, terms, coef_bits
 
     def __pow__(self, n):
@@ -241,8 +251,7 @@ class RingElem(Record):
         """
         poly = self.poly
         work = sum((2 * k + 1) * (2 * k + poly[k].bit_length()) for k in compress(range(len(poly)), poly))
-        if work > MAX_RESTRICT_WORK:
-            raise ValueError(f"a restriction of work {work} is over the limit of {MAX_RESTRICT_WORK}")
+        _cap("a restriction of work {}", work, MAX_RESTRICT_WORK)
         out = {}
         for k, c in enumerate(poly):
             if c:
@@ -483,8 +492,7 @@ def _parse_product(toks):
         # P meets every coefficient of Q, and a coefficient of P*Q sums at most
         # len(Q) such products
         work = terms * length_rhs * (bits + bits_rhs + length_rhs.bit_length())
-        if work > MAX_POWER_WORK:
-            raise ValueError(f"a product of work {work} is over the limit of {MAX_POWER_WORK}")
+        _cap("a product of work {}", work, MAX_POWER_WORK)
         factor = _factor(make() * make_rhs())
     return factor
 
@@ -499,15 +507,17 @@ def _parse_unary(toks):
 
 
 def _parse_power(toks):
+    """A power x^n waits for its product's check as partial(pow, x, n).  A
+    chain x^a^b, or a power (x^a)^b of one, is the one power x^(a*b), bounded
+    once as that power."""
     factor = _parse_atom(toks)
+    if toks.peek()[0] != "^":
+        return factor
+    base, n = factor[0].args if type(factor[0]) is partial else (factor[0](), 1)
     while toks.peek()[0] == "^":
         toks.next()
-        n = toks.expect("int")[1]
-        value = factor[0]()
-        if toks.peek()[0] != "^":  # the last power waits for its product's check
-            return (lambda: value**n), *value._power_bounds(n)
-        factor = _factor(value**n)
-    return factor
+        n *= toks.expect("int")[1]
+    return partial(pow, base, n), *base._power_bounds(n)
 
 
 def _parse_atom(toks):

@@ -50,8 +50,8 @@ class HnfOracle:
         for jj, other in self.rows.items():
             if jj < j and other[j]:
                 q = other[j] // row[j]
-                if q:
-                    self.rows[jj] = [oi - q * ri for oi, ri in zip(other, row)]
+                if q:  # row is 0 left of j
+                    self.rows[jj] = other[:j] + [oi - q * ri for oi, ri in zip(other[j:], row[j:])]
 
     def add(self, vec):
         vec = list(vec)
@@ -72,6 +72,13 @@ class HnfOracle:
                 self.rows[j] = [x * ri + y * vi for ri, vi in zip(row, vec)]
                 vec = [(a // g) * vi - (b // g) * ri for ri, vi in zip(row, vec)]
                 self._settle(j)
+
+    def widen(self, ncols):
+        """The same lattice over ncols coordinates: zero columns go in before
+        the last one, so (1, ..., z^(k-1), w) becomes (1, ..., z^(ncols-2), w)."""
+        pad, last = [0] * (ncols - self.ncols), self.ncols - 1
+        self.rows = {(ncols - 1 if j == last else j): row[:-1] + pad + row[-1:] for j, row in self.rows.items()}
+        self.ncols = ncols
 
     def contains(self, vec):
         vec = list(vec)
@@ -122,20 +129,24 @@ def ideal_member_oracle(gens, x):
     certificate; a negative one may just mean the witness needs higher
     shifts (low-degree members of an ideal can require cancelling
     combinations of high z-shifts), so the window is enlarged a few times
-    before reporting False.
+    before reporting False.  Each window's lattice holds the one before it,
+    so one lattice is widened and takes only the new shifts.
     """
     n = max(len(x[0]) - 1, 0)
     b = max((len(g[0]) - 1 for g in gens if g[0]), default=0) + 2
     base = n + b + 1
+    lat, done = HnfOracle(1), 0
     for zcols in (base, base + 6, base + 16):
-        lat = HnfOracle(zcols + 1)
+        lat.widen(zcols + 1)
         for g in gens:
-            deg = len(g[0]) - 1
-            for j in range(zcols - max(deg, 0)):
+            deg = max(len(g[0]) - 1, 0)
+            for j in range(max(done - deg, 0), zcols - deg):
                 lat.add(elem_vector(shift_raw(g, j), zcols))
-            lat.add([0] * zcols + [raw_wmult(g)])
+            if not done:
+                lat.add([0] * zcols + [raw_wmult(g)])
         if lat.contains(elem_vector(x, zcols)):
             return True
+        done = zcols
     return False
 
 

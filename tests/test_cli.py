@@ -200,6 +200,9 @@ class TestMalformedInput:
                 ("bauer", "check", "--chain", "{"),
                 "error: bad chain JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n",
             ),
+            # sizes with more digits than CPython prints, named by the power of two above them
+            (("ring", "eval", "2^" + "9" * 4300), "error: a power of up to 2^14286 bits is over the limit of 4194304"),
+            (("ring", "eval", "w^" + "9" * 4300), "error: a power of up to 2^14285 bits is over the limit of 4194304"),
         ],
     )
     def test_one_error_line(self, capsys, argv, message):
@@ -467,6 +470,15 @@ class TestRing:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert re.fullmatch(r"error: a product of work \d+ is over the limit of 8589934592\n", proc.stderr)
         assert elapsed < 1, f"ring wmul ((1+z)^2046+0)*((1+z)^2046+0) took {elapsed:.2f}s"
+        # a power of a power is one pending power: each of these took both
+        # powers, 2.2 to 3.7 s, before it was refused
+        for expr in ("(1+z)^2046^1*(1+z)^2046^1", "((1+z)^2046)^1*((1+z)^2046)^1"):
+            start = time.perf_counter()
+            proc = wmul(expr)
+            elapsed = time.perf_counter() - start
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert re.fullmatch(r"error: a product of work \d+ is over the limit of 8589934592\n", proc.stderr)
+            assert elapsed < 2, f"ring wmul {expr} took {elapsed:.2f}s"
         # half the degree is under the cap and answered
         proc = wmul("(1+z)^1023*(1+z)^1023")
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{3**2046}\n", "")

@@ -325,6 +325,27 @@ class TestMembership:
             assert form.contains(x) == expected, (raw, x)
             members += expected
         assert 60 < members < 95
+        # up to degree 32: one generator of degree 24 to 32 with c <= 3, in half
+        # the sets with a second of degree <= 8 (two of degree 32 take about
+        # 0.1 s to complete), and three in four elements members
+        members, degrees = 0, set()
+        for _ in range(40):
+            degree = rng.randint(24, 32)
+            lead = rng.choice((-1, 1)) * rng.randint(1, 3)
+            raw = [(tuple(rng.randint(-3, 3) for _ in range(degree)) + (lead,), rng.randint(-3, 3))]
+            if rng.random() < 1 / 2:
+                raw.append(random_pair(rng, 8, 3, 3))
+            degrees.add(degree)
+            form = ideal_from_generators(gens_to_elems(raw))
+            if rng.random() < 3 / 4:
+                x = random_combination(rng, raw)
+            else:
+                poly, lam = random_pair(rng, 32, 9, 9)
+                x = RingElem(lam, poly)
+            expected = ideal_member_oracle(raw, (x.poly, x.wcoef))
+            assert form.contains(x) == expected, (raw, x)
+            members += expected
+        assert 32 in degrees and 20 < members < 40
 
 
 class TestEqualsSumProduct:

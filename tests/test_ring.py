@@ -266,6 +266,21 @@ class TestArithmetic:
         # powers of 0 and of units cost nothing however large the exponent
         assert ZERO ** 10**12 == ZERO and ONE ** 10**12 == ONE and (-ONE) ** (10**12 + 1) == -ONE
         assert CTILDE ** (10**12 + 1) == CTILDE
+        # ^ chains left to right, and a chain or a power in parentheses is the
+        # one power it equals, checked as that power: 3^600000^2 is 3^1200000
+        assert parse("2^3^2") == const(64) and parse("z^2^3") == parse("(z^2)^3") == z_pow(6)
+        assert parse("((1+z)^2)^0^5") == ONE and parse("0^0^3") == ONE and parse("(-z^2)^3") == -z_pow(6)
+        assert parse("2^4000000^0") == ONE  # 2^0, though 2^4000000 is over the cap
+        message = f"^a power of up to 4800001 bits is over the limit of {MAX_POWER_BITS}$"
+        for text in ("3^1200000", "3^600000^2", "(3^600000)^2", "((3^2)^300000)^2"):
+            with pytest.raises(ValueError, match=message):
+                parse(text)
+        # a size with more digits than CPython prints is named by the power of
+        # two above it, so the message still names the power cap
+        message = rf"^a power of up to 2\^\d+ bits is over the limit of {MAX_POWER_BITS}$"
+        for text in ("2^" + "9" * 4300, "w^" + "9" * 4300, "2^" + "9" * 3000 + "^" + "9" * 3000):
+            with pytest.raises(ValueError, match=message):
+                parse(text)
 
     def test_power_work_cap(self):
         # the work bound counts the nonzero coefficients of the powers, at

@@ -126,6 +126,29 @@ def test_every_method_has_a_caller():
     assert not uncalled, uncalled
 
 
+def test_only_emit_writes_to_stdout():
+    # every answer of the CLI leaves through cli._emit, which prints its text
+    # or its JSON: nothing else in cli.py writes to sys.stdout, prints
+    # without file=sys.stderr or calls json.dumps
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    (emit,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_emit"]
+    inside = {id(node) for node in ast.walk(emit)}
+
+    def writes(node):
+        if isinstance(node, ast.Attribute):
+            return ast.unparse(node.value) == "sys.stdout" and node.attr.startswith("write")
+        if not isinstance(node, ast.Call):
+            return False
+        if ast.unparse(node.func) == "json.dumps":
+            return True
+        to_stderr = any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr" for kw in node.keywords)
+        return ast.unparse(node.func) == "print" and not to_stderr
+
+    found = [f"cli.py:{node.lineno}" for node in ast.walk(tree) if id(node) not in inside and writes(node)]
+    assert not found, found
+    assert any(writes(node) for node in ast.walk(emit))
+
+
 def test_fields_are_set_in_three_constructors_only():
     # Record.__init__ binds every record's fields; RingElem, which every ring
     # operation builds, sets its own, and its trusted _make binds them through
