@@ -396,8 +396,8 @@ def xi_bounds(manifold) -> XiBounds:
         raise UnknownManifoldError(f"unsupported manifold {manifold!r}")
 
     fillings = _fillings(manifold)
-    lowers = [p - q for p, q, _ in fillings if q > 0]
-    lower = max(lowers) if lowers else None
+    lowers = [(p - q, src) for p, q, src in fillings if q > 0]
+    lower, lower_src = max(lowers, key=lambda item: item[0], default=(None, None))
     # reversed, a filling (p, q) of Y is a filling (-p, q) of -Y, which caps Y
     up_fill = min((q + p - 1 for p, q, _ in fillings), default=None)
     up_orb = _ORBIFOLD_UPPER.get((manifold.sign, manifold.family))
@@ -405,9 +405,22 @@ def xi_bounds(manifold) -> XiBounds:
     if kappa.denominator != 1:  # a stored family or block is wrong, not the input
         raise RuntimeError(f"kappa = {kappa} of {manifold.label()} is not an integer")
     up_kappa = int(kappa) - 1
+    # a filling (p, q) of Y is a spin cobordism from the KG-split S^3 to Y, so
+    # a stored one that fails the split bound is a wrong table, not the input
+    for p, q, src in fillings:
+        verdict = split_bound(0, int(kappa), p, q)
+        if verdict.status is Status.VIOLATED:
+            label = manifold.label()
+            raise RuntimeError(f"the filling {src!r} ({p}, {q}) of {label} fails the split bound {verdict.inequality}")
 
-    uppers = [u for u in (up_fill, up_orb, up_kappa) if u is not None]
-    upper = min(uppers)
+    routes = {"filling": up_fill, "orbifold": up_orb, "kappa": up_kappa}
+    route = min((r for r, u in routes.items() if u is not None), key=routes.get)  # the first of a tie
+    upper = routes[route]
+    if lower is not None and lower > upper:
+        raise RuntimeError(
+            f"lower bound {lower} of xi({manifold.label()}) from the filling {lower_src!r} "
+            f"exceeds upper bound {upper} from the {route} route"
+        )
     exact = lower if lower == upper else None
     return XiBounds(manifold, lower, up_fill, up_orb, up_kappa, upper, exact)
 

@@ -34,10 +34,12 @@ MAX_KMAX = 256
 def _k_max():
     from .ideals import K_MAX_DEFAULT
 
+    text = os.environ.get("PIN2K_KMAX", K_MAX_DEFAULT)
     try:
-        k_max = int(os.environ.get("PIN2K_KMAX", K_MAX_DEFAULT))
-    except ValueError:
-        raise SystemExit(_usage_error("PIN2K_KMAX must be an integer"))
+        k_max = int(text)
+    except ValueError as err:
+        too_long = _too_many_digits(err, text)
+        raise SystemExit(_usage_error(f"PIN2K_KMAX: {too_long}" if too_long else "PIN2K_KMAX must be an integer"))
     if k_max < 0:
         raise SystemExit(_usage_error(f"PIN2K_KMAX = {k_max} is negative; the valid range is 0..{MAX_KMAX}"))
     if k_max > MAX_KMAX:
@@ -48,6 +50,15 @@ def _k_max():
 # How CPython's ValueError for an int/str conversion over
 # sys.get_int_max_str_digits() begins.
 _DIGIT_LIMIT_MESSAGE = "Exceeds the limit ("
+
+
+def _too_many_digits(err, token):
+    """If int(token) raised err for the digit limit, a short refusal that
+    names the token's length, worded as the ring grammar's; else None."""
+    if str(err).startswith(_DIGIT_LIMIT_MESSAGE):
+        digits = sum(ch.isdigit() for ch in token)
+        return f"integer has {digits} digits, over the limit of {sys.get_int_max_str_digits()}"
+    return None
 
 
 # Each character that str.splitlines ends a line at, mapped to its escape, so
@@ -100,15 +111,13 @@ def _cmd_ring(args):
 
     x = ring.parse(args.expr)
     if args.action == "eval":
-        _emit(args, str(x), {"expr": args.expr, "normal_form": str(x)})
-    elif args.action == "augment":
-        _emit(args, str(x.augment()), {"expr": args.expr, "augment": x.augment()})
-    elif args.action == "restrict":
+        return str(x), {"expr": args.expr, "normal_form": str(x)}
+    if args.action == "augment":
+        return str(x.augment()), {"expr": args.expr, "augment": x.augment()}
+    if args.action == "restrict":
         img = x.restrict_s1()
-        _emit(args, str(img), {"expr": args.expr, "restriction": str(img)})
-    else:  # wmul
-        _emit(args, str(x.w_multiplier()), {"expr": args.expr, "w_multiplier": x.w_multiplier()})
-    return 0
+        return str(img), {"expr": args.expr, "restriction": str(img)}
+    return str(x.w_multiplier()), {"expr": args.expr, "w_multiplier": x.w_multiplier()}  # wmul
 
 
 # -- ideal ---------------------------------------------------------------------
@@ -157,8 +166,7 @@ def _cmd_ideal(args):
         k = form.nilpotence_exponent(k_max)
         text, payload = f"nilpotence exponent = {k}", {"nilpotence_exponent": k}
     payload["generators"] = [str(g) for g in gens]
-    _emit(args, text, payload)
-    return 0
+    return text, payload
 
 
 # -- brieskorn -------------------------------------------------------------------
@@ -197,8 +205,7 @@ def _cmd_brieskorn(args):
         rows = [{"m": m, "orientation": o, "kappa": kappa} for m, o, kappa in kappas]
         # the reversed orientation's label starts with -
         lines = [f"kappa({o.strip('+')}Sigma(2,3,{m})) = {kappa}" for m, o, kappa in kappas]
-        _emit(args, "\n".join(lines), {"rows": rows})
-        return 0
+        return "\n".join(lines), {"rows": rows}
 
     if (args.a, args.b) != (2, 3):
         raise spectra.UnsupportedSeifertDataError(f"only Sigma(2,3,m) is supported, got ({args.a},{args.b},...)")
@@ -206,19 +213,17 @@ def _cmd_brieskorn(args):
         # kappa is constant on the family of m; only the JSON, which lists the
         # blocks, needs the class of m
         kappa = spectra.brieskorn_kappa(args.m, args.orient)
-        _emit(args, f"kappa = {_frac_json(kappa)}", _brieskorn_payload(args.m, args.orient) if args.json else None)
-    else:  # class
-        payload = _brieskorn_payload(args.m, args.orient)
-        _emit(args, _report(payload, "blocks", " v "), payload)
-    return 0
+        return f"kappa = {_frac_json(kappa)}", _brieskorn_payload(args.m, args.orient) if args.json else None
+    payload = _brieskorn_payload(args.m, args.orient)  # class
+    return _report(payload, "blocks", " v "), payload
 
 
 # -- bounds ----------------------------------------------------------------------
 
 
-def _verdict_result(args, verdict, **extra):
-    _emit(args, f"{verdict.status.capitalize()}: {verdict.inequality}", {**verdict._asdict(), **extra})
-    return verdict.exit_code()
+def _verdict_result(verdict, **extra):
+    """A verdict's answer: its text, its JSON and, unlike any other answer, its exit code."""
+    return f"{verdict.status.capitalize()}: {verdict.inequality}", {**verdict._asdict(), **extra}, verdict.exit_code()
 
 
 _INT = {"type": int, "default": 0}
@@ -249,9 +254,8 @@ def _cmd_bounds(args):
     params = {key: value for key, value in vars(args).items() if key not in ("command", "action", "json")}
     result = getattr(fb, _BOUNDS[args.action][0])(**params)
     if args.action == "bohr-lee":
-        _emit(args, f"m(-Y)/2 <= {result}", {"kappa": args.kappa, "bound": result})
-        return 0
-    return _verdict_result(args, result)
+        return f"m(-Y)/2 <= {result}", {"kappa": args.kappa, "bound": result}
+    return _verdict_result(result)
 
 
 # -- xi ----------------------------------------------------------------------------
@@ -265,12 +269,9 @@ def _cmd_xi(args):
     rows = fb.xi_table_rows() if args.action == "table" else [fb.xi_bounds(args.manifold)]
     payloads = [{**row._asdict(), "manifold": row.manifold.label()} for row in rows]
     if args.action == "table":
-        text, payload = fb.emit_xi_table(rows), {"rows": payloads}
-    else:
-        (row,), (payload,) = rows, payloads
-        text = f"xi({payload['manifold']}) {row.xi_text('= ')}"
-    _emit(args, text, payload)
-    return 0
+        return fb.emit_xi_table(rows), {"rows": payloads}
+    (row,), (payload,) = rows, payloads
+    return f"xi({payload['manifold']}) {row.xi_text('= ')}", payload
 
 
 # -- bauer ---------------------------------------------------------------------------
@@ -293,9 +294,9 @@ def _cmd_bauer(args):
         chain = fb.parse_chain(args.chain)
     verdict = fb.bauer_chain_check(chain)
     if not args.json:  # only the JSON echoes the chain
-        return _verdict_result(args, verdict)
+        return _verdict_result(verdict)
     echo = [{**form._asdict(), "boundary": None if b is None else b._asdict()} for form, b in chain]
-    return _verdict_result(args, verdict, chain=echo)
+    return _verdict_result(verdict, chain=echo)
 
 
 # -- parser ----------------------------------------------------------------------------
@@ -325,7 +326,8 @@ def _plain(argv, commands):
     token that does not start with -.  A flag that takes a value reads the
     next token, which must be a value; the other values fill the
     positionals in order.  Each value passes its type and choices, every
-    required argument is given and no token is left over.
+    required argument is given and no token is left over.  An integer
+    value over CPython's digit limit raises a Pin2kError instead.
     """
     if len(argv) < 2 or argv[0] not in commands or argv[1] not in commands[argv[0]][2]:
         return None
@@ -343,20 +345,24 @@ def _plain(argv, commands):
     for token in tokens:
         if token in flags:
             missing.discard(token)
-            dest, options = flags[token]
+            name, (dest, options) = token, flags[token]
             if "action" in options:  # a switch
                 fields[dest] = options["action"] == "store_true"
                 continue
             token = next(tokens, None)
         elif positionals:
             dest, options = positionals.pop(0)
+            name = dest  # as argparse names a positional
         else:
             return None
         if token is None or token[:1] == "-" and token != "-":
             return None
         try:
             value = options["type"](token) if "type" in options else token
-        except (TypeError, ValueError):
+        except (TypeError, ValueError) as err:
+            too_long = _too_many_digits(err, token)
+            if too_long:  # argparse would quote the whole token
+                raise Pin2kError(f"argument {name}: {too_long}") from None
             return None
         if "choices" in options and value not in options["choices"]:
             return None
@@ -377,6 +383,16 @@ def _argparser(argv, commands):
     level."""
     import argparse
 
+    def read_int(token):
+        """int, refusing a token over the digit limit as _plain does."""
+        try:
+            return int(token)
+        except ValueError as err:
+            too_long = _too_many_digits(err, token)
+            if too_long:
+                raise argparse.ArgumentTypeError(too_long) from None
+            raise
+
     parser_class = type("_Parser", (argparse.ArgumentParser,), {"error": _raise_usage})
     about = "Exact calculator for Pin(2) representation-ring ideals, spectrum classes and spin intersection forms."
     parser = parser_class(prog="pin2k", description=about, allow_abbrev=False)
@@ -388,6 +404,7 @@ def _argparser(argv, commands):
         action_parsers = command_parser.add_subparsers(dest="action", required=True)
         for action, arguments in actions.items():
             action_parser = action_parsers.add_parser(action, description=summary, allow_abbrev=False)
+            action_parser.register("type", int, read_int)  # its errors still name the type int
             for name, options in [*arguments, _JSON]:
                 action_parser.add_argument(name, **options)
     return parser
@@ -399,15 +416,16 @@ def _parse(argv, commands):
 
 
 def main(argv=None):
-    """Runs one pin2k call and returns its exit code; a usage error or
-    --help raises SystemExit instead."""
+    """Runs one pin2k call, prints the answer that its handler returns and
+    returns its exit code; a usage error or --help raises SystemExit instead."""
     argv = sys.argv[1:] if argv is None else argv
     commands = _commands()
-    args = _parse(argv, commands)
     try:
-        code = commands[args.command][1](args)
+        args = _parse(argv, commands)
+        text, payload, *code = commands[args.command][1](args)  # a verdict's answer adds its exit code
+        _emit(args, text, payload)
         sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
-        return code
+        return code[0] if code else 0
     except BrokenPipeError:
         # the reader closed stdout, which ends the output; point it at devnull
         # so that the flush at exit stays silent

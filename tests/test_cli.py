@@ -81,8 +81,21 @@ class TestExitCodes:
             ("ideals.w_gcd", 5, "ideal info --gens 3*w", "completion broke d | e (e = 5, d = 2)"),
             ("ideals.w_gcd", 3, "ideal info --gens 2*w", "completion broke e | 2d (e = 3, d = 1)"),
             ("bounds.manifold_kappa", Fraction(1, 2), "xi show S3", "kappa = 1/2 of S^3 is not an integer"),
+            (
+                "bounds._fillings",
+                [(2, 1, "K3 minus the nucleus")],
+                "xi show Sigma(2,3,11)",
+                "lower bound 1 of xi(Sigma(2,3,11)) from the filling 'K3 minus the nucleus' "
+                "exceeds upper bound 0 from the orbifold route",
+            ),
+            (
+                "bounds._fillings",
+                [(3, 1, "K3 minus the nucleus")],
+                "xi show Sigma(2,3,11)",
+                "the filling 'K3 minus the nucleus' (3, 1) of Sigma(2,3,11) fails the split bound 2 + 1 >= 0 + 3 + 1",
+            ),
         ],
-        ids=["d-divides-e", "e-divides-2d", "integral-kappa"],
+        ids=["d-divides-e", "e-divides-2d", "integral-kappa", "lower-over-upper", "filling-fails-split"],
     )
     def test_broken_invariant_is_internal(self, capsys, monkeypatch, target, value, command, message):
         # these checks fail only through a bug or a bad stored table, never
@@ -203,6 +216,15 @@ class TestMalformedInput:
             # sizes with more digits than CPython prints, named by the power of two above them
             (("ring", "eval", "2^" + "9" * 4300), "error: a power of up to 2^14286 bits is over the limit of 4194304"),
             (("ring", "eval", "w^" + "9" * 4300), "error: a power of up to 2^14285 bits is over the limit of 4194304"),
+            # integer arguments over the digit limit, named by their length rather than quoted
+            (
+                ("bounds", "furuta", "--p", "9" * 4400, "--q", "1"),
+                "error: argument --p: integer has 4400 digits, over the limit of 4300\n",
+            ),
+            (
+                ("brieskorn", "kappa", "2", "3", "9" * 4400),
+                "error: argument m: integer has 4400 digits, over the limit of 4300\n",
+            ),
         ],
     )
     def test_one_error_line(self, capsys, argv, message):
@@ -299,6 +321,10 @@ class TestUsage:
             (("bogus",), "argument command: invalid choice: 'bogus'"),
             (("ring", "--json", "eval", "1"), "unrecognized arguments: --json"),
             (("xi", "show", "S3", "extra"), "unrecognized arguments: extra"),
+            (
+                ("bounds", "furuta", "--p=" + "9" * 4400),
+                "argument --p: integer has 4400 digits, over the limit of 4300\n",
+            ),
         ],
     )
     def test_argparse_error_is_one_line(self, capsys, argv, message):
@@ -368,43 +394,37 @@ class TestRing:
         assert code == 0 and out.startswith(head) and out.endswith(tail)
         assert elapsed < 1, f"ring {action} {expr} took {elapsed:.2f}s"
 
-    @pytest.mark.parametrize("expr", ["z^99999999999", "2^99999999999", "w^99999999999", "(1+z)^4000"])
-    def test_power_over_the_size_cap_is_two(self, expr):
-        # in a subprocess held to 1 GB of address space and 20 s, so that a
-        # power computed without the cap fails the test rather than the host
+    @staticmethod
+    def limited(*argv):
+        """`python -m pin2k.cli argv` in a subprocess held to 1 GB of address
+        space and 20 s, so that an answer computed past a cap fails the test
+        rather than the host; the process and its wall time in seconds."""
+
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (2**30, resource.getrlimit(resource.RLIMIT_AS)[1]))
 
         start = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, "-m", "pin2k.cli", "ring", "eval", expr],
+            [sys.executable, "-m", "pin2k.cli", *argv],
             capture_output=True,
             text=True,
             timeout=20,
             env=dict(os.environ, PYTHONPATH=str(SRC)),
             preexec_fn=limit_memory,
         )
-        elapsed = time.perf_counter() - start
+        return proc, time.perf_counter() - start
+
+    @pytest.mark.parametrize("expr", ["z^99999999999", "2^99999999999", "w^99999999999", "(1+z)^4000"])
+    def test_power_over_the_size_cap_is_two(self, expr):
+        proc, elapsed = self.limited("ring", "eval", expr)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert re.fullmatch(r"error: a power of up to \d+ bits is over the limit of 4194304\n", proc.stderr)
         assert elapsed < 1, f"ring eval {expr} took {elapsed:.2f}s"
 
     def test_restriction_over_the_work_cap_is_two(self):
         # z^2000000 passes the ^ cap, but its restriction would sum 4e6
-        # binomials of up to 4e6 bits; held to 1 GB and 20 s as above
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (2**30, resource.getrlimit(resource.RLIMIT_AS)[1]))
-
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "pin2k.cli", "ring", "restrict", "z^2000000"],
-            capture_output=True,
-            text=True,
-            timeout=20,
-            env=dict(os.environ, PYTHONPATH=str(SRC)),
-            preexec_fn=limit_memory,
-        )
-        elapsed = time.perf_counter() - start
+        # binomials of up to 4e6 bits
+        proc, elapsed = self.limited("ring", "restrict", "z^2000000")
         assert (proc.returncode, proc.stdout) == (2, "")
         assert re.fullmatch(r"error: a restriction of work \d+ is over the limit of 2147483648\n", proc.stderr)
         assert elapsed < 1, f"ring restrict z^2000000 took {elapsed:.2f}s"
@@ -412,75 +432,41 @@ class TestRing:
     @pytest.mark.parametrize("base,n", [(255, 45), (15, 264)])
     def test_power_over_the_work_cap_is_two(self, base, n):
         # (1 + z + ... + z^base)^n passes the size cap, but its products took
-        # about 12 s and 3.5 s; held to 1 GB and 20 s as above
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (2**30, resource.getrlimit(resource.RLIMIT_AS)[1]))
-
+        # about 12 s and 3.5 s
         expr = "(%s)^%d" % (" + ".join(f"z^{k}" for k in range(base + 1)), n)
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "pin2k.cli", "ring", "eval", expr],
-            capture_output=True,
-            text=True,
-            timeout=20,
-            env=dict(os.environ, PYTHONPATH=str(SRC)),
-            preexec_fn=limit_memory,
-        )
-        elapsed = time.perf_counter() - start
+        proc, elapsed = self.limited("ring", "eval", expr)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert re.fullmatch(r"error: a power of work \d+ is over the limit of 8589934592\n", proc.stderr)
         assert elapsed < 1, f"ring eval (1 + ... + z^{base})^{n} took {elapsed:.2f}s"
 
     def test_product_over_the_work_cap_is_two(self):
         # (1+z)^2046 passes both power caps, but the product of two took about
-        # 18 s; it is refused before either power is taken.  Held to 1 GB and
-        # 20 s as above
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (2**30, resource.getrlimit(resource.RLIMIT_AS)[1]))
-
-        def wmul(expr):
-            return subprocess.run(
-                [sys.executable, "-m", "pin2k.cli", "ring", "wmul", expr],
-                capture_output=True,
-                text=True,
-                timeout=20,
-                env=dict(os.environ, PYTHONPATH=str(SRC)),
-                preexec_fn=limit_memory,
-            )
-
-        start = time.perf_counter()
-        proc = wmul("(1+z)^2046*(1+z)^2046")
-        elapsed = time.perf_counter() - start
+        # 18 s; it is refused before either power is taken
+        proc, elapsed = self.limited("ring", "wmul", "(1+z)^2046*(1+z)^2046")
         assert (proc.returncode, proc.stdout) == (2, "")
         assert re.fullmatch(r"error: a product of work \d+ is over the limit of 8589934592\n", proc.stderr)
         assert elapsed < 2, f"ring wmul (1+z)^2046*(1+z)^2046 took {elapsed:.2f}s"
         # parenthesized factors pass their bounds up unevaluated: this took
         # both powers, about 3.8 s, before it was refused
-        start = time.perf_counter()
-        proc = wmul("((1+z)^2046)*((1+z)^2046)")
-        elapsed = time.perf_counter() - start
+        proc, elapsed = self.limited("ring", "wmul", "((1+z)^2046)*((1+z)^2046)")
         assert (proc.returncode, proc.stdout) == (2, "")
         assert re.fullmatch(r"error: a product of work \d+ is over the limit of 8589934592\n", proc.stderr)
         assert elapsed < 2, f"ring wmul ((1+z)^2046)*((1+z)^2046) took {elapsed:.2f}s"
         # a sum passes up bounds read off its terms' bounds: this took both
         # powers, about 2.8 s, before it was refused
-        start = time.perf_counter()
-        proc = wmul("((1+z)^2046+0)*((1+z)^2046+0)")
-        elapsed = time.perf_counter() - start
+        proc, elapsed = self.limited("ring", "wmul", "((1+z)^2046+0)*((1+z)^2046+0)")
         assert (proc.returncode, proc.stdout) == (2, "")
         assert re.fullmatch(r"error: a product of work \d+ is over the limit of 8589934592\n", proc.stderr)
         assert elapsed < 1, f"ring wmul ((1+z)^2046+0)*((1+z)^2046+0) took {elapsed:.2f}s"
         # a power of a power is one pending power: each of these took both
         # powers, 2.2 to 3.7 s, before it was refused
         for expr in ("(1+z)^2046^1*(1+z)^2046^1", "((1+z)^2046)^1*((1+z)^2046)^1"):
-            start = time.perf_counter()
-            proc = wmul(expr)
-            elapsed = time.perf_counter() - start
+            proc, elapsed = self.limited("ring", "wmul", expr)
             assert (proc.returncode, proc.stdout) == (2, "")
             assert re.fullmatch(r"error: a product of work \d+ is over the limit of 8589934592\n", proc.stderr)
             assert elapsed < 2, f"ring wmul {expr} took {elapsed:.2f}s"
         # half the degree is under the cap and answered
-        proc = wmul("(1+z)^1023*(1+z)^1023")
+        proc, _ = self.limited("ring", "wmul", "(1+z)^1023*(1+z)^1023")
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{3**2046}\n", "")
 
 
@@ -619,6 +605,7 @@ class TestIdeal:
             "257": f"PIN2K_KMAX = 257 is over the limit of {cli.MAX_KMAX}",
             "-1": f"PIN2K_KMAX = -1 is negative; the valid range is 0..{cli.MAX_KMAX}",
             "-3": f"PIN2K_KMAX = -3 is negative; the valid range is 0..{cli.MAX_KMAX}",
+            "9" * 4400: "PIN2K_KMAX: integer has 4400 digits, over the limit of 4300",
         }
         for value, message in bad.items():
             monkeypatch.setenv("PIN2K_KMAX", value)

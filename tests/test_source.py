@@ -149,6 +149,28 @@ def test_only_emit_writes_to_stdout():
     assert any(writes(node) for node in ast.walk(emit))
 
 
+def test_handlers_return_their_answers():
+    # each _cmd_* handler returns its answer, and main alone prints it through
+    # _emit and sets the exit code: no handler calls _emit or prints to stdout
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    handlers = [function for function in functions if function.name.startswith("_cmd_")]
+    assert len(handlers) == 6, [function.name for function in handlers]
+
+    def calls(function, name):
+        return [node for node in ast.walk(function) if isinstance(node, ast.Call) and ast.unparse(node.func) == name]
+
+    printing = [
+        f"cli.py:{node.lineno}"
+        for function in handlers
+        for node in calls(function, "_emit") + calls(function, "print")
+        if not any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr" for kw in node.keywords)
+    ]
+    assert not printing, printing
+    callers = [function.name for function in functions for _ in calls(function, "_emit")]
+    assert callers == ["main"], callers
+
+
 def test_fields_are_set_in_three_constructors_only():
     # Record.__init__ binds every record's fields; RingElem, which every ring
     # operation builds, sets its own, and its trusted _make binds them through
