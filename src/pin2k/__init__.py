@@ -15,6 +15,18 @@ class Pin2kError(Exception):
     """Base of every domain error the calculator raises."""
 
 
+def _cap(message, amount, limit, error=ValueError):
+    """Refuses an amount over limit with error: message names it where {} stands,
+    or, if it has more digits than CPython converts to text, the power of two
+    above it.  Every size limit of the package is refused here."""
+    if amount > limit:
+        try:
+            amount = str(amount)
+        except ValueError:
+            amount = f"2^{amount.bit_length()}"
+        raise error(f"{message.format(amount)} is over the limit of {limit}")
+
+
 class Record:
     """Base of the immutable value classes.
 

@@ -19,7 +19,7 @@ import re
 import sys
 from enum import Enum
 
-from . import Pin2kError, Record
+from . import Pin2kError, Record, _cap
 
 
 class BoundsError(Pin2kError):
@@ -198,8 +198,7 @@ def canonical_bauer_chain(r, non_split_at=None):
     """
     if r < 1:
         raise MalformedChainError("need at least one piece")
-    if r > MAX_PIECES:
-        raise MalformedChainError(f"{r} pieces is over the limit of {MAX_PIECES}")
+    _cap("{} pieces", r, MAX_PIECES, MalformedChainError)
     if non_split_at is not None and not 1 <= non_split_at < r:
         valid = f"1..{r - 1}" if r > 1 else "none, a 1-piece chain has no interior boundary"
         raise MalformedChainError(f"non-split boundary {non_split_at} is out of range (valid: {valid})")

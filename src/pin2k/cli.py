@@ -23,7 +23,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import Pin2kError
+from . import Pin2kError, _cap
 
 
 # The capped searches grow about cubically with the cap: `ideal witness --gens
@@ -39,11 +39,10 @@ def _k_max():
         k_max = int(text)
     except ValueError as err:
         too_long = _too_many_digits(err, text)
-        raise SystemExit(_usage_error(f"PIN2K_KMAX: {too_long}" if too_long else "PIN2K_KMAX must be an integer"))
+        raise Pin2kError(f"PIN2K_KMAX: {too_long}" if too_long else "PIN2K_KMAX must be an integer") from None
     if k_max < 0:
-        raise SystemExit(_usage_error(f"PIN2K_KMAX = {k_max} is negative; the valid range is 0..{MAX_KMAX}"))
-    if k_max > MAX_KMAX:
-        raise SystemExit(_usage_error(f"PIN2K_KMAX = {k_max} is over the limit of {MAX_KMAX}"))
+        raise Pin2kError(f"PIN2K_KMAX = {k_max} is negative; the valid range is 0..{MAX_KMAX}")
+    _cap("PIN2K_KMAX = {}", k_max, MAX_KMAX, Pin2kError)
     return k_max
 
 
@@ -198,8 +197,7 @@ def _cmd_brieskorn(args):
     from . import spectra
 
     if args.action == "table":
-        if args.max_m > MAX_TABLE_M:
-            raise spectra.UnsupportedSeifertDataError(f"--max-m {args.max_m} is over the limit of {MAX_TABLE_M}")
+        _cap("--max-m {}", args.max_m, MAX_TABLE_M, spectra.UnsupportedSeifertDataError)
         ms = [m for m in range(7, args.max_m + 1) if m % 2 and m % 3]
         kappas = [(m, o, _frac_json(spectra.brieskorn_kappa(m, o))) for m in ms for o in "+-"]
         rows = [{"m": m, "orientation": o, "kappa": kappa} for m, o, kappa in kappas]

@@ -42,7 +42,7 @@ for some mu iff lam*z^k lies in J.
 from bisect import bisect_right
 from math import gcd
 
-from . import Pin2kError, Record
+from . import Pin2kError, Record, _cap
 from .ring import RingElem, w_pow, z_pow
 
 K_MAX_DEFAULT = 64
@@ -199,8 +199,7 @@ def ideal_from_generators(gens):
     gens = [g if isinstance(g, RingElem) else RingElem(0, (g,)) for g in gens]
     gens = [g for g in gens if not g.is_zero()]
     max_deg = max((g.degree for g in gens if g.poly), default=-1)
-    if max_deg > MAX_DEGREE:
-        raise ValueError(f"a generator of degree {max_deg} is over the limit of {MAX_DEGREE}")
+    _cap("a generator of degree {}", max_deg, MAX_DEGREE)
     e = w_gcd(gens)
 
     pool = {}  # polynomial degree -> (tuple, bit) with that degree, leading coeff > 0

@@ -16,7 +16,7 @@ from functools import partial
 from itertools import compress
 from math import comb
 
-from . import Pin2kError, Record
+from . import Pin2kError, Record, _cap
 
 # Bound on the bits of x^n, one more per coefficient, and of the powers that
 # give its w-part.  `(1+z)^2046` takes about 1.6 s at this cap.
@@ -26,7 +26,8 @@ MAX_POWER_BITS = 2**22
 # nonzero coefficients of one factor times coefficients of the other times
 # bits, which a denser base reaches first: `(1 + z + ... + z^255)^45` (12 s)
 # and `(1 + z + ... + z^15)^264` (3.5 s) are over it, `(1+z)^2046` (2047^3)
-# just under it, and `(1+z)^2046*(1+z)^2046` (18 s) over it.
+# just under it, and `(1+z)^2046*(1+z)^2046` (18 s) over it.  The powers and
+# products of one expression share it too, so `(1+z)^2046+(1+z)^2046` is over it.
 MAX_POWER_WORK = 2**33
 
 # Bound on the work of restrict_s1: the sum over the nonzero coefficients c_k
@@ -34,17 +35,6 @@ MAX_POWER_WORK = 2**33
 # `z^23169`, just under this cap, takes about 0.8 s and `z^2000` (work 1.6e7)
 # 0.01 s; a dense polynomial of degree 800 (work 6.9e8) about 0.5 s.
 MAX_RESTRICT_WORK = 2**31
-
-
-def _cap(message, amount, limit):
-    """Refuses an amount over limit: message names it where {} stands, or, if
-    it has more digits than CPython converts to text, the power of two above it."""
-    if amount > limit:
-        try:
-            amount = str(amount)
-        except ValueError:
-            amount = f"2^{amount.bit_length()}"
-        raise ValueError(f"{message.format(amount)} is over the limit of {limit}")
 
 
 def _strip(coeffs):
@@ -193,7 +183,7 @@ class RingElem(Record):
     def _power_bounds(self, n):
         """Checks x^n against both caps before anything is multiplied and returns
         bounds on the length, the nonzero coefficients and the coefficient bits
-        of its polynomial part."""
+        of its polynomial part, and its work."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         p2 = _at_two(self.poly)
@@ -212,7 +202,7 @@ class RingElem(Record):
         terms = min(size, comb(terms + n - 1, n) if terms else 1)
         work = terms * size * coef_bits
         _cap("a power of work {}", work, MAX_POWER_WORK)
-        return size, terms, coef_bits
+        return size, terms, coef_bits, work
 
     def __pow__(self, n):
         # P^n by squaring.  The w-part follows from w*x^n = w_multiplier(x)^n*w
@@ -417,6 +407,12 @@ class _Tokens:
         self.items.append(("end", None, n))
         self.pos = 0
         self.depth = 0
+        self.work = 0  # of the powers and products read so far
+
+    def check_work(self):
+        """Refuses the expression, before any of it is computed, once the
+        powers and products read so far together pass the work cap."""
+        _cap("an expression of work {}", self.work, MAX_POWER_WORK)
 
     def peek(self):
         return self.items[self.pos]
@@ -446,6 +442,7 @@ def parse(text):
     tok = toks.peek()
     if tok[0] != "end":
         raise ParseError(f"trailing input {tok[1]!r}", text, tok[2])
+    toks.check_work()
     return make()
 
 
@@ -493,6 +490,8 @@ def _parse_product(toks):
         # len(Q) such products
         work = terms * length_rhs * (bits + bits_rhs + length_rhs.bit_length())
         _cap("a product of work {}", work, MAX_POWER_WORK)
+        toks.work += work
+        toks.check_work()
         factor = _factor(make() * make_rhs())
     return factor
 
@@ -507,17 +506,26 @@ def _parse_unary(toks):
 
 
 def _parse_power(toks):
-    """A power x^n waits for its product's check as partial(pow, x, n).  A
-    chain x^a^b, or a power (x^a)^b of one, is the one power x^(a*b), bounded
-    once as that power."""
+    """A power x^n waits for its product's check as partial(pow, x, n), its
+    work counted in toks.  A chain x^a^b, or a power (x^a)^b of one, is the
+    one power x^(a*b), bounded and counted once as that power, and x^1 is x."""
     factor = _parse_atom(toks)
-    if toks.peek()[0] != "^":
-        return factor
-    base, n = factor[0].args if type(factor[0]) is partial else (factor[0](), 1)
+    n = 1
     while toks.peek()[0] == "^":
         toks.next()
         n *= toks.expect("int")[1]
-    return partial(pow, base, n), *base._power_bounds(n)
+    if n == 1:
+        return factor
+    if type(factor[0]) is partial:
+        base, inner = factor[0].args
+        n *= inner
+        toks.work -= base._power_bounds(inner)[3]
+    else:
+        toks.check_work()
+        base = factor[0]()
+    *bounds, work = base._power_bounds(n)
+    toks.work += work
+    return partial(pow, base, n), *bounds
 
 
 def _parse_atom(toks):

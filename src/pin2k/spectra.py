@@ -27,7 +27,7 @@ free space), which is what makes the duality bookkeeping below work.
 from fractions import Fraction
 from functools import lru_cache
 
-from . import Pin2kError, Record
+from . import Pin2kError, Record, _cap
 
 
 class SpectraError(Pin2kError):
@@ -226,8 +226,7 @@ def _checked_family(m, orientation):
     """brieskorn_family(m) once the orientation and the MAX_M cap are checked."""
     if orientation not in ("+", "-"):
         raise UnsupportedSeifertDataError(f"bad orientation {orientation!r}")
-    if m > MAX_M:
-        raise UnsupportedSeifertDataError(f"m = {m} is over the limit of {MAX_M}")
+    _cap("m = {}", m, MAX_M, UnsupportedSeifertDataError)
     return brieskorn_family(m)
 
 

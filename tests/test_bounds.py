@@ -164,6 +164,9 @@ class TestBauerChains:
             bauer_chain_check([(IntersectionForm(2, 3), None), (IntersectionForm(2, 2), None)])
         with pytest.raises(MalformedChainError):
             canonical_bauer_chain(0)
+        # a count past CPython's digit limit is named by the power of two above it
+        with pytest.raises(MalformedChainError, match=r"^2\^16610 pieces is over the limit of 100000$"):
+            canonical_bauer_chain(10**5000)
         for r, spot in ((3, 0), (3, 3), (3, 7), (1, 1)):
             with pytest.raises(MalformedChainError, match="out of range"):
                 canonical_bauer_chain(r, non_split_at=spot)

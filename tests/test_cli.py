@@ -469,6 +469,24 @@ class TestRing:
         proc, _ = self.limited("ring", "wmul", "(1+z)^1023*(1+z)^1023")
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{3**2046}\n", "")
 
+    @pytest.mark.parametrize(
+        "expr,refusal",
+        [
+            ("((1+z)^2046+0)^1*((1+z)^2046+0)^1", "a product of work 17217568781"),
+            ("(-(1+z)^2046)^1*(-(1+z)^2046)^1", "a product of work 17200807945"),
+            ("+".join(["(1+z)^2046"] * 100), "an expression of work 17154715646"),
+        ],
+        ids=["sum-to-the-first", "negation-to-the-first", "sum-of-100-powers"],
+    )
+    def test_expression_over_the_work_cap_is_two(self, expr, refusal):
+        # x^1 is x, so the first two are refused as the products without the
+        # ^1, where computing both bases took 2.2 to 2.7 s; the powers and
+        # products of one expression share the work cap, so the sum, which
+        # ran for about 2 minutes, is refused before its third power
+        proc, elapsed = self.limited("ring", "wmul", expr)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {refusal} is over the limit of 8589934592\n")
+        assert elapsed < 1, f"ring wmul {expr[:40]} took {elapsed:.2f}s"
+
 
 class TestProcess:
     """`python -m pin2k.cli` ends in cli.run, which flushes stdout and stderr
@@ -575,9 +593,8 @@ class TestIdeal:
         assert elapsed < 0.5, f"ideal k --gens z^5000,2 took {elapsed:.2f}s"
         # the errors keep their order: the cap first, then the parse
         monkeypatch.setenv("PIN2K_KMAX", "257")
-        with pytest.raises(SystemExit):
-            cli.main(["ideal", "k", "--gens", "z^"])
-        assert "PIN2K_KMAX" in capsys.readouterr().err
+        code, _, err = run(capsys, "ideal", "k", "--gens", "z^")
+        assert code == 2 and "PIN2K_KMAX" in err
         monkeypatch.delenv("PIN2K_KMAX")
         for gens, message in [("z^", "found end of input at byte 2"), ("3*z", "6 has an odd factor"), ("0", "trivial")]:
             code, out, err = run(capsys, "ideal", "k", "--gens", gens)
@@ -610,11 +627,7 @@ class TestIdeal:
         for value, message in bad.items():
             monkeypatch.setenv("PIN2K_KMAX", value)
             for action in ("witness", "zw"):
-                with pytest.raises(SystemExit) as exit_info:
-                    cli.main(["ideal", action, "--gens", "1"])
-                captured = capsys.readouterr()
-                assert exit_info.value.code == 2 and captured.out == ""
-                assert captured.err == f"error: {message}\n"
+                assert run(capsys, "ideal", action, "--gens", "1") == (2, "", f"error: {message}\n")
 
 
 class TestBrieskorn:

@@ -312,6 +312,40 @@ class TestArithmetic:
             parse("((1+z)^2046+0)*((1+z)^2046+0)")
         assert parse("(z^3 - (1+z)^2 + 4)*(2 - w)") == (z_pow(3) - (ONE + Z) ** 2 + 4) * (2 - W)
         assert parse("+".join(["1"] * 10**4)) == RingElem(0, (10**4,))
+        # x^1 is x, so a power of one computes no base: each of these is
+        # refused at once as the same product without the ^1, where computing
+        # both bases first took 2.2 to 2.7 s
+        for text, work in [
+            ("((1+z)^2046+0)^1*((1+z)^2046+0)^1", 17217568781),
+            ("(-(1+z)^2046)^1*(-(1+z)^2046)^1", 17200807945),
+        ]:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"^a product of work {work} is over the limit of {MAX_POWER_WORK}$"):
+                parse(text)
+            assert time.perf_counter() - start < 1, text
+        # the powers and products of the whole expression share the work cap,
+        # each counted once, as the power it becomes in a chain or in
+        # parentheses; the total is checked before a product multiplies, before
+        # the base of a power is computed and before the value is, so the sum
+        # of 100 copies of (1+z)^2046 (about 2 minutes) stops at its third
+        two = 2 * 2047**3
+        for text, work in [
+            ("(1+z)^2046+(1+z)^2046", two),
+            ("+".join(["(1+z)^2046"] * 100), two),
+            ("(1+z)^2046+((1+z)^1023)^2", two),
+            ("(1+z)^2046*z^2", 2047**3 + 3 + 2047 * 3 * (2047 + 1 + 2)),
+            ("(1+z)^1500*(1+z)^1500", 2 * 1501**3 + 1501 * 1501 * (2 * 1501 + 11)),
+            ("(1-z)^2047*1", 2048**3 + 2048 * 1 * (2048 + 1 + 1)),
+        ]:
+            with pytest.raises(ValueError, match=f"^an expression of work {work} is over the limit of {MAX_POWER_WORK}$"):
+                parse(text)
+        # these stay answered: (1-z)^2047 is at the cap, and (1+z)^2046 just
+        # under it; tests/test_cli.py runs (1+z)^1023*(1+z)^1023
+        binomials = tuple(comb(2046, k) for k in range(2047))
+        for text in ("(1+z)^2046", "((1+z)^2046+0)^1"):
+            assert parse(text) == RingElem(0, binomials), text
+        assert parse("(1+z)^2046*z") == RingElem(0, (0, *binomials))
+        assert parse("(1-z)^2047") == RingElem(0, tuple((-1) ** k * comb(2047, k) for k in range(2048)))
 
     def test_big_integers_do_not_overflow(self):
         x = z_pow(40) + W

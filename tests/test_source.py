@@ -171,6 +171,37 @@ def test_handlers_return_their_answers():
     assert callers == ["main"], callers
 
 
+def test_one_refusal_for_every_size_limit():
+    # every value over its limit is refused by pin2k._cap, in the caller's
+    # words and error class, which names a value past CPython's digit limit
+    # by the power of two above it; no layer writes the refusal itself
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    (cap,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_cap"]
+    assert nodes(lambda node: isinstance(node, ast.FunctionDef) and node.name == "_cap") == [f"__init__.py:{cap.lineno}"]
+    found = [
+        f"{path.name}:{number}"
+        for path in sorted(SRC.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "is over the limit of" in line
+    ]
+    assert len(found) == 1 and found[0] in [f"__init__.py:{n}" for n in range(cap.lineno, cap.end_lineno + 1)], found
+
+
+def test_only_usage_errors_raise_system_exit():
+    # a domain error, PIN2K_KMAX's too, leaves through main's one except as
+    # exit code 2; only argparse's usage errors end a call by SystemExit,
+    # through _raise_usage
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+
+    def exits(node):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            return ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc) == "SystemExit"
+        return isinstance(node, ast.Call) and ast.unparse(node.func) in ("sys.exit", "exit")
+
+    found = [getattr(top, "name", top.lineno) for top in tree.body for node in ast.walk(top) if exits(node)]
+    assert found == ["_raise_usage"], found
+
+
 def test_fields_are_set_in_three_constructors_only():
     # Record.__init__ binds every record's fields; RingElem, which every ring
     # operation builds, sets its own, and its trusted _make binds them through

@@ -318,6 +318,9 @@ class TestBrieskorn:
             for orient in ("+", "-"):
                 with pytest.raises(UnsupportedSeifertDataError, match="^m = 1000001 is over the limit of 1000000$"):
                     function(MAX_M + 1, orient)
+                # an m past CPython's digit limit is named by the power of two above it
+                with pytest.raises(UnsupportedSeifertDataError, match=r"^m = 2\^16610 is over the limit of 1000000$"):
+                    function(10**5000 + 1, orient)
 
     def test_block_count_grows_with_the_index(self):
         assert brieskorn_class(11, "+").space.free == ()
