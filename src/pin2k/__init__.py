@@ -8,6 +8,7 @@ from dataclasses, whose import (with inspect) and per-class code generation
 would cost every CLI call more than the command itself.
 """
 
+import sys
 from importlib import import_module
 
 
@@ -25,6 +26,23 @@ def _cap(message, amount, limit, error=ValueError):
         except ValueError:
             amount = f"2^{amount.bit_length()}"
         raise error(f"{message.format(amount)} is over the limit of {limit}")
+
+
+# How CPython's ValueError for an int/str conversion over
+# sys.get_int_max_str_digits() begins.
+_DIGIT_LIMIT_MESSAGE = "Exceeds the limit ("
+
+
+def _int(text, what, error=Pin2kError):
+    """int(text).  A text with more digits than CPython converts is refused
+    through _cap as `what of N digits`, with error; any other ValueError is
+    the caller's to word.  Every integer read from text is read here."""
+    try:
+        return int(text)
+    except ValueError as err:
+        if not str(err).startswith(_DIGIT_LIMIT_MESSAGE):
+            raise
+    _cap(f"{what} of {{}} digits", sum(ch.isdigit() for ch in text), sys.get_int_max_str_digits(), error)
 
 
 class Record:

@@ -16,10 +16,10 @@ summand.
 """
 
 import re
-import sys
 from enum import Enum
+from functools import partial
 
-from . import Pin2kError, Record, _cap
+from . import Pin2kError, Record, _cap, _int
 
 
 class BoundsError(Pin2kError):
@@ -254,15 +254,13 @@ def parse_chain(text):
     """
     import json
 
+    read_int = partial(_int, what="bad chain JSON: an integer", error=MalformedChainError)
     try:
-        raw = json.loads(text, object_pairs_hook=_unique_keys)
+        raw = json.loads(text, object_pairs_hook=_unique_keys, parse_int=read_int)
     except json.JSONDecodeError as err:
         raise MalformedChainError(f"bad chain JSON: {err}") from None
     except RecursionError:
         raise MalformedChainError("bad chain JSON: nested too deeply") from None
-    except ValueError:  # the only other ValueError json raises: an integer over the digit limit
-        limit = sys.get_int_max_str_digits()
-        raise MalformedChainError(f"bad chain JSON: an integer has more than {limit} digits") from None
     if not isinstance(raw, list):
         raise MalformedChainError("chain must be a JSON list of {p, q, boundary} objects")
     chain = []
@@ -312,7 +310,7 @@ def parse_manifold(text):
     if body in FAMILIES:
         return Manifold(sign, body, None)
     try:
-        m = int(body)
+        m = _int(body, "m: an integer", UnknownManifoldError)
     except ValueError:
         raise UnknownManifoldError(f"cannot parse manifold {text!r}") from None
     try:

@@ -23,7 +23,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import Pin2kError, _cap
+from . import _DIGIT_LIMIT_MESSAGE, Pin2kError, _cap, _int
 
 
 # The capped searches grow about cubically with the cap: `ideal witness --gens
@@ -34,30 +34,14 @@ MAX_KMAX = 256
 def _k_max():
     from .ideals import K_MAX_DEFAULT
 
-    text = os.environ.get("PIN2K_KMAX", K_MAX_DEFAULT)
     try:
-        k_max = int(text)
-    except ValueError as err:
-        too_long = _too_many_digits(err, text)
-        raise Pin2kError(f"PIN2K_KMAX: {too_long}" if too_long else "PIN2K_KMAX must be an integer") from None
+        k_max = _int(os.environ.get("PIN2K_KMAX", K_MAX_DEFAULT), "PIN2K_KMAX: an integer")
+    except ValueError:
+        raise Pin2kError("PIN2K_KMAX must be an integer") from None
     if k_max < 0:
         raise Pin2kError(f"PIN2K_KMAX = {k_max} is negative; the valid range is 0..{MAX_KMAX}")
     _cap("PIN2K_KMAX = {}", k_max, MAX_KMAX, Pin2kError)
     return k_max
-
-
-# How CPython's ValueError for an int/str conversion over
-# sys.get_int_max_str_digits() begins.
-_DIGIT_LIMIT_MESSAGE = "Exceeds the limit ("
-
-
-def _too_many_digits(err, token):
-    """If int(token) raised err for the digit limit, a short refusal that
-    names the token's length, worded as the ring grammar's; else None."""
-    if str(err).startswith(_DIGIT_LIMIT_MESSAGE):
-        digits = sum(ch.isdigit() for ch in token)
-        return f"integer has {digits} digits, over the limit of {sys.get_int_max_str_digits()}"
-    return None
 
 
 # Each character that str.splitlines ends a line at, mapped to its escape, so
@@ -126,18 +110,11 @@ _IDEAL = dict.fromkeys(["k", "info", "split", "zw", "witness"], [_GENS])
 _IDEAL["contains"] = [_GENS, ("--element", {"required": True, "help": "element expression for membership tests"})]
 
 
-def _parse_gens(text):
-    from . import ring
-
-    items = [piece.strip() for piece in text.split(",")]
-    return [ring.parse(piece) for piece in items if piece]
-
-
 def _cmd_ideal(args):
     from . import ideals, ring
 
     k_max = _k_max()
-    gens = _parse_gens(args.gens)
+    gens = ring.parse(args.gens, items=True)
     form = None if args.action == "k" else ideals.ideal_from_generators(gens)  # k reads only e
     if args.action == "k":
         k = ideals.k_from_e(ideals.w_gcd(gens))
@@ -325,7 +302,8 @@ def _plain(argv, commands):
     next token, which must be a value; the other values fill the
     positionals in order.  Each value passes its type and choices, every
     required argument is given and no token is left over.  An integer
-    value over CPython's digit limit raises a Pin2kError instead.
+    value over CPython's digit limit raises a Pin2kError instead, as
+    argparse words it.
     """
     if len(argv) < 2 or argv[0] not in commands or argv[1] not in commands[argv[0]][2]:
         return None
@@ -355,12 +333,9 @@ def _plain(argv, commands):
             return None
         if token is None or token[:1] == "-" and token != "-":
             return None
-        try:
-            value = options["type"](token) if "type" in options else token
-        except (TypeError, ValueError) as err:
-            too_long = _too_many_digits(err, token)
-            if too_long:  # argparse would quote the whole token
-                raise Pin2kError(f"argument {name}: {too_long}") from None
+        try:  # int is the one type of the tables
+            value = _int(token, f"argument {name}: an integer") if "type" in options else token
+        except ValueError:
             return None
         if "choices" in options and value not in options["choices"]:
             return None
@@ -380,17 +355,11 @@ def _argparser(argv, commands):
     names, since argparse reads only that one; no abbreviations at any
     level."""
     import argparse
+    from functools import partial
 
-    def read_int(token):
-        """int, refusing a token over the digit limit as _plain does."""
-        try:
-            return int(token)
-        except ValueError as err:
-            too_long = _too_many_digits(err, token)
-            if too_long:
-                raise argparse.ArgumentTypeError(too_long) from None
-            raise
-
+    # int, refusing a token over the digit limit as _plain does, rather than
+    # quoting the whole token
+    read_int = partial(_int, what="an integer", error=argparse.ArgumentTypeError)
     parser_class = type("_Parser", (argparse.ArgumentParser,), {"error": _raise_usage})
     about = "Exact calculator for Pin(2) representation-ring ideals, spectrum classes and spin intersection forms."
     parser = parser_class(prog="pin2k", description=about, allow_abbrev=False)

@@ -162,7 +162,11 @@ def k_from_e(e):
         raise NoWitnessError("the w-multiplier subgroup is trivial")
     a = e.bit_length() - 1
     if e != 1 << a:
-        raise NotSwfLikeError(f"w-multiplier generator {e} has an odd factor")
+        try:
+            name = str(e)
+        except ValueError:  # more digits than CPython converts to text
+            name = f"of {e.bit_length()} bits"
+        raise NotSwfLikeError(f"w-multiplier generator {name} has an odd factor")
     return a
 
 

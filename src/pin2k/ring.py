@@ -11,12 +11,12 @@ The two generator sets {w, z} and {c~, h} are related by w = 1 - c~ and
 z = 2 - h.  The parser accepts both; storage is always in {w, z}.
 """
 
-import sys
-from functools import partial
+from functools import partial, reduce
 from itertools import compress
 from math import comb
+from operator import mul
 
-from . import Pin2kError, Record, _cap
+from . import Pin2kError, Record, _cap, _int
 
 # Bound on the bits of x^n, one more per coefficient, and of the powers that
 # give its w-part.  `(1+z)^2046` takes about 1.6 s at this cap.
@@ -369,13 +369,8 @@ _DIGITS = "0123456789"
 MAX_NESTING = 100
 
 
-def _digit_limit():
-    """CPython's cap on the digits of an int converted from or to text; 0 is none."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
 class _Tokens:
-    def __init__(self, text):
+    def __init__(self, text, items=False):
         self.text = text
         self.items = []  # (kind, value, position)
         i, n = 0, len(text)
@@ -388,10 +383,8 @@ class _Tokens:
                 j = i
                 while j < n and text[j] in _DIGITS:
                     j += 1
-                limit = _digit_limit()
-                if limit and j - i > limit:
-                    raise ParseError(f"integer literal has {j - i} digits, over the limit of {limit}", text, i)
-                self.items.append(("int", int(text[i:j]), i))
+                value = _int(text[i:j], "integer literal", partial(ParseError, text=text, pos=i))
+                self.items.append(("int", value, i))
                 i = j
             elif ch == "c" and i + 1 < n and text[i + 1] == "~":
                 self.items.append(("ident", "c~", i))
@@ -399,7 +392,7 @@ class _Tokens:
             elif ch in ("w", "z", "h"):
                 self.items.append(("ident", ch, i))
                 i += 1
-            elif ch in "+-*^()":
+            elif ch in "+-*^()" or items and ch == ",":
                 self.items.append((ch, ch, i))
                 i += 1
             else:
@@ -435,15 +428,21 @@ class _Tokens:
         return tok
 
 
-def parse(text):
-    """Parse an expression over integers, w, z, c~, h with + - * ^ and parens."""
-    toks = _Tokens(text)
-    make = _parse_sum(toks)[0]
-    tok = toks.peek()
-    if tok[0] != "end":
-        raise ParseError(f"trailing input {tok[1]!r}", text, tok[2])
+def parse(text, items=False):
+    """Parse an expression over integers, w, z, c~, h with + - * ^ and parens;
+    with items, the list of the comma-separated expressions of text, empty
+    ones skipped, which share one work cap."""
+    toks = _Tokens(text, items)
+    makes, kind = [], None
+    while kind != "end":
+        if not items or toks.peek()[0] not in (",", "end"):  # else an empty item
+            makes.append(_parse_sum(toks)[0])
+        kind, value, pos = toks.next()
+        if kind not in (",", "end"):  # "," is a token only with items
+            raise ParseError(f"trailing input {value!r}", text, pos)
     toks.check_work()
-    return make()
+    values = [make() for make in makes]
+    return values if items else values[0]
 
 
 def _parse_sum(toks):
@@ -471,29 +470,40 @@ def _parse_sum(toks):
 def _factor(x):
     """x as a factor, which every grammar level returns: a thunk and the
     length, the nonzero coefficients and the coefficient bits of its
-    polynomial part.  A power or a sum is parsed into its thunk and the
-    bounds on these, and passes through parentheses as it is, so that a
-    product is refused before its factors' powers are taken.  The checks
-    run as the text is parsed, so a thunk raises nothing."""
+    polynomial part.  A power, a product or a sum is parsed into its thunk
+    and the bounds on these, and passes through parentheses as it is, so
+    that a product is refused before its factors' powers are taken.  The
+    checks run as the text is parsed, so a thunk raises nothing."""
     p = x.poly
     return (lambda: x), len(p), len(p) - p.count(0), max(map(abs, p), default=0).bit_length()
 
 
 def _parse_product(toks):
-    factor = _parse_unary(toks)
+    """A product as a factor, bounded before anything in it is multiplied.
+    The running product P*Q is bounded from the bounds of P and Q: length
+    len(P) + len(Q) - 1, or 0 if either is 0; at most terms(P) * terms(Q)
+    nonzero coefficients, and no more than that length; coefficient bits
+    bits(P) + bits(Q) + bits(len(Q))."""
+    factors = [_parse_unary(toks)]
+    _, length, terms, bits = factors[0]
     while toks.peek()[0] == "*":
         toks.next()
-        make, _, terms, bits = factor
-        make_rhs, length_rhs, _, bits_rhs = _parse_unary(toks)
+        factors.append(_parse_unary(toks))
+        _, length_rhs, terms_rhs, bits_rhs = factors[-1]
         # the schoolbook work of P*Q, as for powers: each nonzero coefficient of
-        # P meets every coefficient of Q, and a coefficient of P*Q sums at most
-        # len(Q) such products
-        work = terms * length_rhs * (bits + bits_rhs + length_rhs.bit_length())
+        # P meets every coefficient of Q, in a sum of at most len(Q) products
+        # that has at most the new bits
+        bits += bits_rhs + length_rhs.bit_length()
+        work = terms * length_rhs * bits
         _cap("a product of work {}", work, MAX_POWER_WORK)
         toks.work += work
         toks.check_work()
-        factor = _factor(make() * make_rhs())
-    return factor
+        length = length + length_rhs - 1 if length and length_rhs else 0
+        terms = min(terms * terms_rhs, length)
+    if len(factors) == 1:
+        return factors[0]
+    # one fold, so that a long chain does not recurse
+    return (lambda: reduce(mul, (make() for make, *_ in factors))), length, terms, bits
 
 
 def _parse_unary(toks):

@@ -174,12 +174,15 @@ class TestMalformedInput:
             (("ring", "eval", "--", "-" * 3000 + "1"), "nesting deeper than 100 at byte 100"),
             (("ring", "eval", "\uff11\uff12"), "at byte 0"),
             (("ring", "eval", "z^\u00b2"), "at byte 2"),
-            (("ideal", "k", "--gens", "z, \u00b2"), "unexpected character '\u00b2' at byte 0"),
+            (("ideal", "k", "--gens", "z, \u00b2"), "unexpected character '\u00b2' at byte 3"),
             (("bauer", "canonical", "--pieces", "3", "--non-split-boundary", "7"), "(valid: 1..2)"),
             (("bauer", "canonical", "--pieces", "3", "--non-split-boundary", "0"), "(valid: 1..2)"),
             (("bauer", "canonical", "--pieces", "1", "--non-split-boundary", "1"), "(valid: none"),
-            (("ring", "eval", "7" * 5000), "integer literal has 5000 digits, over the limit of 4300 at byte 0"),
-            (("bauer", "check", "--chain", '[{"p":%s,"q":3}]' % ("7" * 5000)), "more than 4300 digits"),
+            (("ring", "eval", "7" * 5000), "integer literal of 5000 digits is over the limit of 4300 at byte 0"),
+            (
+                ("bauer", "check", "--chain", '[{"p":%s,"q":3}]' % ("7" * 5000)),
+                "error: bad chain JSON: an integer of 5000 digits is over the limit of 4300\n",
+            ),
             (("brieskorn", "kappa", "2", "3", str(10**23 + 1)), f"m = {10**23 + 1} is over the limit of 1000000"),
             (("brieskorn", "class", "2", "3", str(10**12 + 1), "--orient", "-"), "over the limit of 1000000"),
             (("brieskorn", "class", "2", "3", "1000001"), "m = 1000001 is over the limit of 1000000"),
@@ -219,12 +222,20 @@ class TestMalformedInput:
             # integer arguments over the digit limit, named by their length rather than quoted
             (
                 ("bounds", "furuta", "--p", "9" * 4400, "--q", "1"),
-                "error: argument --p: integer has 4400 digits, over the limit of 4300\n",
+                "error: argument --p: an integer of 4400 digits is over the limit of 4300\n",
             ),
             (
                 ("brieskorn", "kappa", "2", "3", "9" * 4400),
-                "error: argument m: integer has 4400 digits, over the limit of 4300\n",
+                "error: argument m: an integer of 4400 digits is over the limit of 4300\n",
             ),
+            (
+                ("xi", "show", "Sigma(2,3,%s)" % ("7" * 4400)),
+                "error: m: an integer of 4400 digits is over the limit of 4300\n",
+            ),
+            # an odd w-multiplier generator with more digits than CPython prints
+            (("ideal", "k", "--gens", "3^9100"), "error: w-multiplier generator of 14424 bits has an odd factor\n"),
+            # offsets count from the start of the whole --gens argument
+            (("ideal", "info", "--gens", "z,  2+"), "error: unexpected end of input at byte 6\n"),
         ],
     )
     def test_one_error_line(self, capsys, argv, message):
@@ -323,7 +334,7 @@ class TestUsage:
             (("xi", "show", "S3", "extra"), "unrecognized arguments: extra"),
             (
                 ("bounds", "furuta", "--p=" + "9" * 4400),
-                "argument --p: integer has 4400 digits, over the limit of 4300\n",
+                "argument --p: an integer of 4400 digits is over the limit of 4300\n",
             ),
         ],
     )
@@ -470,22 +481,35 @@ class TestRing:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{3**2046}\n", "")
 
     @pytest.mark.parametrize(
-        "expr,refusal",
+        "argv,refusal",
         [
-            ("((1+z)^2046+0)^1*((1+z)^2046+0)^1", "a product of work 17217568781"),
-            ("(-(1+z)^2046)^1*(-(1+z)^2046)^1", "a product of work 17200807945"),
-            ("+".join(["(1+z)^2046"] * 100), "an expression of work 17154715646"),
+            (("ring", "wmul", "((1+z)^2046+0)^1*((1+z)^2046+0)^1"), "a product of work 17217568781"),
+            (("ring", "wmul", "(-(1+z)^2046)^1*(-(1+z)^2046)^1"), "a product of work 17200807945"),
+            (("ring", "wmul", "+".join(["(1+z)^2046"] * 100)), "an expression of work 17154715646"),
+            (("ring", "wmul", "(1+z)^1000*(1+z)^1000*(1+z)^1000"), "an expression of work 11080107038"),
+            (("ideal", "k", "--gens", ", ".join(["(1+z)^2046"] * 8)), "an expression of work 17154715646"),
         ],
-        ids=["sum-to-the-first", "negation-to-the-first", "sum-of-100-powers"],
+        ids=[
+            "sum-to-the-first",
+            "negation-to-the-first",
+            "sum-of-100-powers",
+            "product-of-three-powers",
+            "eight-generators",
+        ],
     )
-    def test_expression_over_the_work_cap_is_two(self, expr, refusal):
+    def test_expression_over_the_work_cap_is_two(self, argv, refusal):
         # x^1 is x, so the first two are refused as the products without the
         # ^1, where computing both bases took 2.2 to 2.7 s; the powers and
         # products of one expression share the work cap, so the sum, which
-        # ran for about 2 minutes, is refused before its third power
-        proc, elapsed = self.limited("ring", "wmul", expr)
+        # ran for about 2 minutes, is refused before its third power; a
+        # product chain is bounded by its running product, so the fourth,
+        # which took its first product (about 1 s) before the third factor
+        # refused it, multiplies nothing; and the generators of one --gens
+        # share one budget, so the last, which took about 11 s, is refused
+        # before its second power
+        proc, elapsed = self.limited(*argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {refusal} is over the limit of 8589934592\n")
-        assert elapsed < 1, f"ring wmul {expr[:40]} took {elapsed:.2f}s"
+        assert elapsed < 1, f"{' '.join(argv)[:50]} took {elapsed:.2f}s"
 
 
 class TestProcess:
@@ -622,7 +646,7 @@ class TestIdeal:
             "257": f"PIN2K_KMAX = 257 is over the limit of {cli.MAX_KMAX}",
             "-1": f"PIN2K_KMAX = -1 is negative; the valid range is 0..{cli.MAX_KMAX}",
             "-3": f"PIN2K_KMAX = -3 is negative; the valid range is 0..{cli.MAX_KMAX}",
-            "9" * 4400: "PIN2K_KMAX: integer has 4400 digits, over the limit of 4300",
+            "9" * 4400: "PIN2K_KMAX: an integer of 4400 digits is over the limit of 4300",
         }
         for value, message in bad.items():
             monkeypatch.setenv("PIN2K_KMAX", value)

@@ -88,7 +88,7 @@ class TestParse:
 
     def test_digit_runs_up_to_the_int_str_limit(self):
         assert parse("9" * 4300) == const(10**4300 - 1)
-        with pytest.raises(ParseError, match="integer literal has 5000 digits, over the limit of 4300 at byte 4"):
+        with pytest.raises(ParseError, match="integer literal of 5000 digits is over the limit of 4300 at byte 4"):
             parse("z + " + "7" * 5000)
 
     def test_nesting_up_to_the_limit(self):
@@ -336,6 +336,14 @@ class TestArithmetic:
             ("(1+z)^2046*z^2", 2047**3 + 3 + 2047 * 3 * (2047 + 1 + 2)),
             ("(1+z)^1500*(1+z)^1500", 2 * 1501**3 + 1501 * 1501 * (2 * 1501 + 11)),
             ("(1-z)^2047*1", 2048**3 + 2048 * 1 * (2048 + 1 + 1)),
+            # a chain is bounded by its running product before anything in it
+            # is multiplied: 2001 terms of 1001 + 1001 + 10 bits after the
+            # first product.  This took that product, about 1 s, before the
+            # third factor refused it.
+            (
+                "(1+z)^1000*(1+z)^1000*(1+z)^1000",
+                3 * 1001**3 + 1001 * 1001 * (2 * 1001 + 10) + 2001 * 1001 * (2 * 1001 + 10 + 1001 + 10),
+            ),
         ]:
             with pytest.raises(ValueError, match=f"^an expression of work {work} is over the limit of {MAX_POWER_WORK}$"):
                 parse(text)

@@ -174,7 +174,8 @@ def test_handlers_return_their_answers():
 def test_one_refusal_for_every_size_limit():
     # every value over its limit is refused by pin2k._cap, in the caller's
     # words and error class, which names a value past CPython's digit limit
-    # by the power of two above it; no layer writes the refusal itself
+    # by the power of two above it; no layer writes the refusal itself, in
+    # these words or without their "is"
     tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
     (cap,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_cap"]
     assert nodes(lambda node: isinstance(node, ast.FunctionDef) and node.name == "_cap") == [f"__init__.py:{cap.lineno}"]
@@ -182,9 +183,28 @@ def test_one_refusal_for_every_size_limit():
         f"{path.name}:{number}"
         for path in sorted(SRC.glob("*.py"))
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        if "is over the limit of" in line
+        if "over the limit of" in line
     ]
     assert len(found) == 1 and found[0] in [f"__init__.py:{n}" for n in range(cap.lineno, cap.end_lineno + 1)], found
+
+
+def test_one_reader_for_every_integer_given_as_text():
+    # pin2k._int reads every integer given as text and refuses one over
+    # CPython's digit limit through _cap; besides it, only main's line for an
+    # answer over that limit, which reads no input, names the limit
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    (main,) = [node for node in trees["cli.py"].body if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    in_main = {id(node) for node in ast.walk(main)}
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "get_int_max_str_digits"
+        if name != "__init__.py" and id(node) not in in_main
+    ]
+    assert not found, found
+    defs = nodes(lambda node: isinstance(node, ast.FunctionDef) and node.name == "_int")
+    assert [site.split(":")[0] for site in defs] == ["__init__.py"], defs
 
 
 def test_only_usage_errors_raise_system_exit():
