@@ -13,13 +13,19 @@ from importlib import import_module
 
 
 class Pin2kError(Exception):
-    """Base of every domain error the calculator raises."""
+    """Base of every domain error the calculator raises: what it refuses, the
+    CLI reports as an `error:` line with exit code 2.  Any other exception, a
+    bare ValueError included, is a bug and exits 3."""
 
 
-def _cap(message, amount, limit, error=ValueError):
-    """Refuses an amount over limit with error: message names it where {} stands,
-    or, if it has more digits than CPython converts to text, the power of two
-    above it.  Every size limit of the package is refused here."""
+class LimitError(Pin2kError, ValueError):
+    """An amount over a size limit, refused by _cap."""
+
+
+def _cap(message, amount, limit, error=LimitError):
+    """Refuses an amount over limit with error, a Pin2kError: message names it
+    where {} stands, or, if it has more digits than CPython converts to text,
+    the power of two above it.  Every size limit of the package is refused here."""
     if amount > limit:
         try:
             amount = str(amount)

@@ -231,7 +231,10 @@ def _record_from_json(cls, obj, where, *extra_keys):
         if type(value) is not kind:  # rejects true/false where an integer belongs
             raise MalformedChainError(f"{where}: {key!r} must be {_KIND_NAMES[kind]}")
         fields.append(value)
-    return cls(*fields)
+    try:
+        return cls(*fields)
+    except ValueError as err:  # the record's own check, such as q >= 0
+        raise MalformedChainError(f"{where}: {err}") from None
 
 
 def _unique_keys(pairs):
@@ -321,16 +324,13 @@ def parse_manifold(text):
 
 
 # Stored spin fillings, one orientation each; reversal is derived.  Entries:
-# (sign, family) -> [(p, q, source)]; sporadic entries keyed by (sign, m).
-_FAMILY_FILLINGS = {
+# (sign, family) or, for a sporadic filling, (sign, m) -> [(p, q, source)].
+_FILLINGS = {
     (1, "S3"): [(0, 0, "four-ball"), (2, 3, "K3 minus a ball")],
     (-1, "12n-1"): [(0, 1, "nucleus N(2n)")],
     (-1, "12n-5"): [(1, 1, "-E10 plumbing")],
     (-1, "12n+1"): [(0, 1, "twisted H-plumbing")],
     (1, "12n+5"): [(1, 1, "-E8 + H plumbing")],
-}
-
-_SPORADIC_FILLINGS = {
     (1, 11): [(2, 2, "K3 minus the nucleus")],
     (1, 7): [(1, 2, "K3 minus the -E10 plumbing")],
     (1, 13): [(0, 0, "homology ball")],
@@ -351,15 +351,12 @@ _ORBIFOLD_UPPER = {
 
 def _fillings(manifold):
     """All stored fillings of the given oriented manifold, reversals included."""
-    out = []
-    for table, key in ((_FAMILY_FILLINGS, manifold.family), (_SPORADIC_FILLINGS, manifold.m)):
-        for sign in (1, -1):
-            for p, q, src in table.get((sign, key), ()):
-                if sign == manifold.sign:
-                    out.append((p, q, src))
-                else:
-                    out.append((-p, q, "reversed " + src))
-    return out
+    return [
+        (p, q, src) if sign == manifold.sign else (-p, q, "reversed " + src)
+        for key in (manifold.family, manifold.m)
+        for sign in (1, -1)
+        for p, q, src in _FILLINGS.get((sign, key), ())
+    ]
 
 
 def manifold_kappa(manifold):

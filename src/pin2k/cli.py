@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 for satisfied verdicts and successful computations, 1 for a
-violated verdict, 2 for usage or domain errors and for running out of
-memory, 3 for an internal error.
+violated verdict, 2 for usage errors, for what pin2k refuses (a Pin2kError),
+for running out of memory and for an answer over CPython's output digit
+limit, 3 for any other exception, a bare ValueError included: an internal
+error.
 Each (command, action) pair takes the arguments that its table declares,
 and --json, after the action; table and JSON output carry the same numbers.
 The environment variable PIN2K_KMAX overrides the search cap used by ideal
@@ -40,7 +42,7 @@ def _k_max():
         raise Pin2kError("PIN2K_KMAX must be an integer") from None
     if k_max < 0:
         raise Pin2kError(f"PIN2K_KMAX = {k_max} is negative; the valid range is 0..{MAX_KMAX}")
-    _cap("PIN2K_KMAX = {}", k_max, MAX_KMAX, Pin2kError)
+    _cap("PIN2K_KMAX = {}", k_max, MAX_KMAX)
     return k_max
 
 
@@ -398,18 +400,18 @@ def main(argv=None):
         # so that the flush at exit stays silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (Pin2kError, ValueError) as err:
-        message = str(err)
-        if message.startswith(_DIGIT_LIMIT_MESSAGE):
-            # printing an exact answer; input digit runs are rejected where they are read
-            message = (
+    except Pin2kError as err:  # a refusal of the input, never a bug
+        return _usage_error(str(err))
+    except MemoryError:  # too large an input, not a bug
+        return _usage_error("out of memory")
+    except Exception as err:
+        if isinstance(err, ValueError) and str(err).startswith(_DIGIT_LIMIT_MESSAGE):
+            # printing an exact answer; input digit runs are refused where they are read
+            return _usage_error(
                 f"the answer has an integer of more than {sys.get_int_max_str_digits()} digits, "
                 "the output limit (set PYTHONINTMAXSTRDIGITS to raise it)"
             )
-        return _usage_error(message)
-    except MemoryError:  # too large an input, not a bug
-        return _usage_error("out of memory")
-    except Exception as err:  # a bug, not a verdict: keep it off exit codes 1 and 2
+        # a bug, not a verdict: keep it off exit codes 1 and 2
         print(f"internal error: {type(err).__name__}: {err}".translate(_LINE_BREAKS), file=sys.stderr)
         return 3
 

@@ -67,6 +67,7 @@ ERRORS = [
     "bauer check --chain '{\"p\":1}'",
     "bauer check --chain '[{\"p\":2,\"q\":3,\"boundry\":{\"kappa\":-9,\"kg_split\":true}}]'",
     "bauer check --chain '[{\"p\":2,\"q\":2,\"q\":3}]'",
+    "bauer check --chain '[{\"p\":1,\"q\":-1}]'",
     "ring eval " + "(" * 101 + "1" + ")" * 101,
     "ring eval 2^99999999999",
     "ring eval '(%s)^264'" % " + ".join(f"z^{k}" for k in range(16)),

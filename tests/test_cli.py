@@ -105,6 +105,15 @@ class TestExitCodes:
         code, out, err = run(capsys, *command.split())
         assert (code, out, err) == (3, "", f"internal error: RuntimeError: {message}\n")
 
+    def test_bare_value_error_is_internal(self, capsys, monkeypatch):
+        # only a Pin2kError is a refusal: a ValueError that no check meant to
+        # raise is a bug, not the input's fault
+        def fail(a, b):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(importlib.import_module("pin2k.ideals"), "xgcd", fail)
+        assert run(capsys, "ideal", "info", "--gens", "2*z+3, 3*z+1") == (3, "", "internal error: ValueError: boom\n")
+
     def test_memory_error_is_two(self, capsys, monkeypatch):
         def exhaust(args):
             raise MemoryError
@@ -169,6 +178,7 @@ class TestMalformedInput:
                 "'name' must be a string",
             ),
             (("bauer", "check", "--chain", '[{"p":2,"q":3,"boundary":[]}]'), "boundary of chain entry 0 is not"),
+            (("bauer", "check", "--chain", '[{"p":1,"q":-1}]'), "error: chain entry 0: q must be nonnegative\n"),
             (("bauer", "check", "--chain", "[" * 3000 + "]" * 3000), "nested too deeply"),
             (("ring", "eval", "(" * 3000 + "1" + ")" * 3000), "nesting deeper than 100 at byte 100"),
             (("ring", "eval", "--", "-" * 3000 + "1"), "nesting deeper than 100 at byte 100"),

@@ -144,6 +144,8 @@ def test_ring_expressions_end_in_the_contract(action, text):
 
 @example('[{"p":2,"q":2}]', False)
 @example('[{"p":2,"q":2}]', True)
+@example('[{"p":1,"q":-1}]', False)
+@example('[{"p":1,"q":-1}]', True)
 @example("{", True)
 @example('[{"p":2,"q":3,"boundary":{"kappa":0,"kg_split":true,"name":"Y"}}]', True)
 @settings(max_examples=200, deadline=None, database=None)

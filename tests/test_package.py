@@ -89,6 +89,23 @@ def test_domain_errors_share_one_base():
     from pin2k.ring import ParseError
     from pin2k.spectra import SpectraError
 
-    for error in (BoundsError, IdealError, ParseError, SpectraError):
+    for error in (BoundsError, IdealError, ParseError, SpectraError, pin2k.LimitError):
         assert issubclass(error, pin2k.Pin2kError), error
-    assert issubclass(ParseError, ValueError)
+    for error in (ParseError, pin2k.LimitError):
+        assert issubclass(error, ValueError), error
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        lambda: pin2k.ring.parse("(1+z)^5000"),
+        lambda: pin2k.ring.parse("z^23170").restrict_s1(),
+        lambda: pin2k.ideals.ideal_from_generators([pin2k.ring.parse("z^1025")]),
+    ],
+    ids=["power", "restriction", "completion-degree"],
+)
+def test_size_refusals_are_domain_errors(refuse):
+    # a size cap refuses the input, which the CLI reports as exit 2; a bare
+    # ValueError would be a bug (exit 3)
+    with pytest.raises(pin2k.Pin2kError, match="is over the limit of"):
+        refuse()

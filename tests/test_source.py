@@ -207,6 +207,21 @@ def test_one_reader_for_every_integer_given_as_text():
     assert [site.split(":")[0] for site in defs] == ["__init__.py"], defs
 
 
+def test_only_domain_errors_are_refusals():
+    # main gives exit 2 to a Pin2kError and running out of memory, and to a
+    # ValueError only for an answer over the output digit limit, which its
+    # Exception arm picks out: no arm names ValueError, so a bare one is
+    # internal.  _cap refuses with a Pin2kError unless told otherwise.
+    from pin2k import Pin2kError, _cap
+
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    (main,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    tries = [node for node in ast.walk(main) if isinstance(node, ast.Try)]
+    arms = [ast.unparse(handler.type) for node in tries for handler in node.handlers]
+    assert arms == ["BrokenPipeError", "Pin2kError", "MemoryError", "Exception"], arms
+    assert issubclass(_cap.__defaults__[0], Pin2kError)
+
+
 def test_only_usage_errors_raise_system_exit():
     # a domain error, PIN2K_KMAX's too, leaves through main's one except as
     # exit code 2; only argparse's usage errors end a call by SystemExit,
