@@ -18,11 +18,7 @@ class Pin2kError(Exception):
     bare ValueError included, is a bug and exits 3."""
 
 
-class LimitError(Pin2kError, ValueError):
-    """An amount over a size limit, refused by _cap."""
-
-
-def _cap(message, amount, limit, error=LimitError):
+def _cap(message, amount, limit, error=Pin2kError):
     """Refuses an amount over limit with error, a Pin2kError: message names it
     where {} stands, or, if it has more digits than CPython converts to text,
     the power of two above it.  Every size limit of the package is refused here."""

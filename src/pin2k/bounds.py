@@ -54,7 +54,7 @@ class IntersectionForm(Record):
 
     def __init__(self, p, q):
         if q < 0:
-            raise ValueError("q must be nonnegative")
+            raise BoundsError("q must be nonnegative")
         super().__init__(p, q)
 
     @property
@@ -233,7 +233,7 @@ def _record_from_json(cls, obj, where, *extra_keys):
         fields.append(value)
     try:
         return cls(*fields)
-    except ValueError as err:  # the record's own check, such as q >= 0
+    except BoundsError as err:  # the record's own check, such as q >= 0
         raise MalformedChainError(f"{where}: {err}") from None
 
 

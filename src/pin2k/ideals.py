@@ -203,7 +203,7 @@ def ideal_from_generators(gens):
     gens = [g if isinstance(g, RingElem) else RingElem(0, (g,)) for g in gens]
     gens = [g for g in gens if not g.is_zero()]
     max_deg = max((g.degree for g in gens if g.poly), default=-1)
-    _cap("a generator of degree {}", max_deg, MAX_DEGREE)
+    _cap("a generator of degree {}", max_deg, MAX_DEGREE, IdealError)
     e = w_gcd(gens)
 
     pool = {}  # polynomial degree -> (tuple, bit) with that degree, leading coeff > 0
@@ -307,6 +307,6 @@ def z_power_ideal(k, l=None):
     zk = z_pow(k)  # rejects k < 0 with the ring's message, before the shift can
     l = k if l is None else l
     if not l <= k <= l + 1:
-        raise ValueError(f"(2^l*w, z^k) needs l <= k <= l + 1, got k = {k}, l = {l}")
+        raise IdealError(f"(2^l*w, z^k) needs l <= k <= l + 1, got k = {k}, l = {l}")
     d = 1 << l
     return IdealForm((RingElem(d, ()), zk), d << (k - l), d)

@@ -185,7 +185,7 @@ class RingElem(Record):
         bounds on the length, the nonzero coefficients and the coefficient bits
         of its polynomial part, and its work."""
         if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+            raise Pin2kError("exponent must be a nonnegative integer")
         p2 = _at_two(self.poly)
         wmul = 2 * self.wcoef + p2
         # |coefficients of P^n| <= |P|_1^n and (a - 1).bit_length() = ceil(log2 a),
@@ -321,14 +321,14 @@ def const(n):
 
 def z_pow(k):
     if k < 0:
-        raise ValueError("z exponent must be nonnegative")
+        raise Pin2kError("z exponent must be nonnegative")
     return RingElem._make(0, (0,) * k + (1,))
 
 
 def w_pow(k):
     """w^k in normal form: 1 for k = 0, else 2^(k-1) * w."""
     if k < 0:
-        raise ValueError("w exponent must be nonnegative")
+        raise Pin2kError("w exponent must be nonnegative")
     return ONE if k == 0 else RingElem(2 ** (k - 1), ())
 
 
@@ -352,7 +352,7 @@ class LaurentElem(Record):
 # -- parsing ------------------------------------------------------------------
 
 
-class ParseError(Pin2kError, ValueError):
+class ParseError(Pin2kError):
     """Syntax error in the element grammar; offset is a byte offset."""
 
     def __init__(self, message, text, pos):

@@ -141,7 +141,7 @@ class SpectrumClass(Record):
     def suspend(self, t=0, l=0):
         """Genuinely suspend the underlying space by t sign planes plus l quaternions."""
         if t < 0 or l < 0:
-            raise ValueError("suspension counts must be nonnegative")
+            raise UnsupportedBlockError("suspension counts must be nonnegative")
         base, shift = self.space.base, 2 * t + 4 * l
         free = tuple(a + shift for a in self.space.free)
         return SpectrumClass(SwfSpace(base._replace(t=base.t + t, l=base.l + l), free), self.m, self.n)
@@ -149,7 +149,7 @@ class SpectrumClass(Record):
     def desuspend(self, t=0, l=0):
         """Formally de-suspend by t sign planes plus l quaternions (bumps m and n)."""
         if t < 0 or l < 0:
-            raise ValueError("suspension counts must be nonnegative")
+            raise UnsupportedBlockError("suspension counts must be nonnegative")
         return SpectrumClass(self.space, self.m + t, self.n + l)
 
     def normalize(self):
@@ -223,9 +223,11 @@ def brieskorn_family(m):
 
 
 def _checked_family(m, orientation):
-    """brieskorn_family(m) once the orientation and the MAX_M cap are checked."""
+    """brieskorn_family(m) once the orientation, m's type and the MAX_M cap are checked."""
     if orientation not in ("+", "-"):
         raise UnsupportedSeifertDataError(f"bad orientation {orientation!r}")
+    if type(m) is not int:
+        raise UnsupportedSeifertDataError(f"m must be an int, got {m!r}")
     _cap("m = {}", m, MAX_M, UnsupportedSeifertDataError)
     return brieskorn_family(m)
 

@@ -5,6 +5,7 @@ import pytest
 from pin2k import bounds
 from pin2k.bounds import (
     BoundaryData,
+    BoundsError,
     IntersectionForm,
     MalformedChainError,
     Manifold,
@@ -35,7 +36,7 @@ class TestForms:
         assert form.b2 == 22 and form.signature == -16
         assert IntersectionForm(-1, 1).b2 == 10
         assert IntersectionForm(-1, 1).signature == 8
-        with pytest.raises(ValueError):
+        with pytest.raises(BoundsError, match="^q must be nonnegative$"):
             IntersectionForm(0, -1)
 
 

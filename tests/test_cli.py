@@ -114,6 +114,16 @@ class TestExitCodes:
         monkeypatch.setattr(importlib.import_module("pin2k.ideals"), "xgcd", fail)
         assert run(capsys, "ideal", "info", "--gens", "2*z+3, 3*z+1") == (3, "", "internal error: ValueError: boom\n")
 
+    def test_record_bug_is_not_a_malformed_chain(self, capsys, monkeypatch):
+        # a chain entry's record check refuses with a BoundsError; any other
+        # exception its constructor raises is a bug, not a chain entry's fault
+        def fail(self, p, q):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(importlib.import_module("pin2k.bounds").IntersectionForm, "__init__", fail)
+        expected = (3, "", "internal error: ValueError: boom\n")
+        assert run(capsys, "bauer", "check", "--chain", '[{"p":1,"q":1}]') == expected
+
     def test_memory_error_is_two(self, capsys, monkeypatch):
         def exhaust(args):
             raise MemoryError
@@ -247,6 +257,8 @@ class TestMalformedInput:
             (("ideal", "info", "--gens", "z,  2+"), "error: unexpected end of input at byte 6\n"),
             # a record's own check names the chain entry it came from
             (("bauer", "check", "--chain", '[{"p":1,"q":-1}]'), "error: chain entry 0: q must be nonnegative\n"),
+            # a family spelling that is none of the four reads as no integer m
+            (("xi", "show", "Sigma(2,3,12n-7)"), "error: cannot parse manifold 'Sigma(2,3,12n-7)'\n"),
         ],
     )
     def test_one_error_line(self, capsys, argv, message):

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from pin2k import Pin2kError
 from pin2k.ideals import (
     MAX_DEGREE,
+    IdealError,
     NoSuchKError,
     NotSwfLikeError,
     NoWitnessBelowCapError,
@@ -84,21 +86,21 @@ class TestCanonicalForm:
         # z_power_ideal writes (z^k) down in closed form, without completing it
         for k in range(65):
             assert z_power_ideal(k) == ideal_from_generators([z_pow(k)]), k
-        with pytest.raises(ValueError, match="^z exponent must be nonnegative$"):
+        with pytest.raises(Pin2kError, match="^z exponent must be nonnegative$"):
             z_power_ideal(-1)
         # (2^l*w, z^k) for l <= k <= l + 1, which spectra's block ideals read
         for l in range(6):
             for k in (l, l + 1):
                 assert z_power_ideal(k, l) == ideal_from_generators([RingElem(2**l, ()), z_pow(k)]), (k, l)
         for k, l in [(3, 1), (1, 2)]:
-            with pytest.raises(ValueError, match=r"^\(2\^l\*w, z\^k\) needs l <= k <= l \+ 1"):
+            with pytest.raises(IdealError, match=r"^\(2\^l\*w, z\^k\) needs l <= k <= l \+ 1"):
                 z_power_ideal(k, l)
 
     def test_generator_degree_cap(self):
         # a pool of up to MAX_DEGREE elements of up to MAX_DEGREE coefficients
         assert MAX_DEGREE == 1024
         assert ideal_from_generators([z_pow(1024), W]).basis[-1] == z_pow(1024)
-        with pytest.raises(ValueError, match="^a generator of degree 1025 is over the limit of 1024$"):
+        with pytest.raises(IdealError, match="^a generator of degree 1025 is over the limit of 1024$"):
             ideal_from_generators([z_pow(1025), 2])
 
     def test_generator_order_is_irrelevant(self):

@@ -89,10 +89,8 @@ def test_domain_errors_share_one_base():
     from pin2k.ring import ParseError
     from pin2k.spectra import SpectraError
 
-    for error in (BoundsError, IdealError, ParseError, SpectraError, pin2k.LimitError):
+    for error in (BoundsError, IdealError, ParseError, SpectraError):
         assert issubclass(error, pin2k.Pin2kError), error
-    for error in (ParseError, pin2k.LimitError):
-        assert issubclass(error, ValueError), error
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pin2k import Pin2kError
 from pin2k.ring import (
     CTILDE,
     H,
@@ -120,7 +121,7 @@ class TestParse:
         for text in _expression_corpus(random.Random(20261019), 5000):
             try:
                 lines.append(repr(parse(text)))
-            except ValueError as error:
+            except Pin2kError as error:
                 lines.append(f"{type(error).__name__}: {error}")
         assert sum(line.startswith("ParseError") for line in lines) == 411
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -253,15 +254,24 @@ class TestArithmetic:
         assert x**n == product
         assert_normal(x**n)
 
+    def test_negative_exponents_are_refused(self):
+        for refuse, message in [
+            (lambda: z_pow(-1), "z exponent must be nonnegative"),
+            (lambda: w_pow(-1), "w exponent must be nonnegative"),
+            (lambda: Z**-1, "exponent must be a nonnegative integer"),
+        ]:
+            with pytest.raises(Pin2kError, match=f"^{message}$"):
+                refuse()
+
     def test_power_size_cap(self):
         # 2^k has k + 1 bits, and its w-part is 2^k - 2^k, so it counts 2k + 1
         assert (const(2) ** 2097151).poly == (2**2097151,)
-        with pytest.raises(ValueError, match=f"^a power of up to 4194305 bits is over the limit of {MAX_POWER_BITS}$"):
+        with pytest.raises(Pin2kError, match=f"^a power of up to 4194305 bits is over the limit of {MAX_POWER_BITS}$"):
             const(2) ** 2097152
         # each of these is cheap to compute uncapped; tests/test_cli.py runs
         # the ones that are not in a subprocess with bounded memory
         for x, n in [(Z, 2097152), (W, 4194304), (ONE + Z, 2047), (const(3) - 2 * W, 2 * 10**6)]:
-            with pytest.raises(ValueError, match="over the limit"):
+            with pytest.raises(Pin2kError, match="over the limit"):
                 x**n
         # powers of 0 and of units cost nothing however large the exponent
         assert ZERO ** 10**12 == ZERO and ONE ** 10**12 == ONE and (-ONE) ** (10**12 + 1) == -ONE
@@ -273,13 +283,13 @@ class TestArithmetic:
         assert parse("2^4000000^0") == ONE  # 2^0, though 2^4000000 is over the cap
         message = f"^a power of up to 4800001 bits is over the limit of {MAX_POWER_BITS}$"
         for text in ("3^1200000", "3^600000^2", "(3^600000)^2", "((3^2)^300000)^2"):
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(Pin2kError, match=message):
                 parse(text)
         # a size with more digits than CPython prints is named by the power of
         # two above it, so the message still names the power cap
         message = rf"^a power of up to 2\^\d+ bits is over the limit of {MAX_POWER_BITS}$"
         for text in ("2^" + "9" * 4300, "w^" + "9" * 4300, "2^" + "9" * 3000 + "^" + "9" * 3000):
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(Pin2kError, match=message):
                 parse(text)
 
     def test_power_work_cap(self):
@@ -287,7 +297,7 @@ class TestArithmetic:
         # most C(t + n - 1, n) for t terms: a sparse base of high degree is
         # cheap and answered, a dense one of the same size refused
         dense, sparse = RingElem(0, (1,) * 16), ONE + z_pow(1000)
-        with pytest.raises(ValueError, match=f"^a power of work 16583823697 is over the limit of {MAX_POWER_WORK}$"):
+        with pytest.raises(Pin2kError, match=f"^a power of work 16583823697 is over the limit of {MAX_POWER_WORK}$"):
             dense**264
         assert (sparse**50).poly == tuple(comb(50, k // 1000) if k % 1000 == 0 else 0 for k in range(50001))
 
@@ -296,9 +306,9 @@ class TestArithmetic:
         # taken, from the bounds of the power cap: (1+z)^2046 has at most 2047
         # nonzero coefficients of at most 2047 bits, so 2047 * 2047 * (2 * 2047 + 11)
         message = f"^a product of work 17200807945 is over the limit of {MAX_POWER_WORK}$"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(Pin2kError, match=message):
             parse("(1+z)^2046*(1+z)^2046")
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(Pin2kError, match=message):
             parse("-(1+z)^2046*(1+z)^2046*z")
         # the power of a monomial has one nonzero coefficient, whatever its
         # degree; counted as 100001, this product would be over the cap
@@ -308,7 +318,7 @@ class TestArithmetic:
         # coefficients up to that length, and the largest bits plus the bits
         # of the number of terms, so 2047 * 2047 * (2 * (2047 + 2) + 11)
         message = f"^a product of work 17217568781 is over the limit of {MAX_POWER_WORK}$"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(Pin2kError, match=message):
             parse("((1+z)^2046+0)*((1+z)^2046+0)")
         assert parse("(z^3 - (1+z)^2 + 4)*(2 - w)") == (z_pow(3) - (ONE + Z) ** 2 + 4) * (2 - W)
         assert parse("+".join(["1"] * 10**4)) == RingElem(0, (10**4,))
@@ -320,7 +330,7 @@ class TestArithmetic:
             ("(-(1+z)^2046)^1*(-(1+z)^2046)^1", 17200807945),
         ]:
             start = time.perf_counter()
-            with pytest.raises(ValueError, match=f"^a product of work {work} is over the limit of {MAX_POWER_WORK}$"):
+            with pytest.raises(Pin2kError, match=f"^a product of work {work} is over the limit of {MAX_POWER_WORK}$"):
                 parse(text)
             assert time.perf_counter() - start < 1, text
         # the powers and products of the whole expression share the work cap,
@@ -345,7 +355,7 @@ class TestArithmetic:
                 3 * 1001**3 + 1001 * 1001 * (2 * 1001 + 10) + 2001 * 1001 * (2 * 1001 + 10 + 1001 + 10),
             ),
         ]:
-            with pytest.raises(ValueError, match=f"^an expression of work {work} is over the limit of {MAX_POWER_WORK}$"):
+            with pytest.raises(Pin2kError, match=f"^an expression of work {work} is over the limit of {MAX_POWER_WORK}$"):
                 parse(text)
         # these stay answered: (1-z)^2047 is at the cap, and (1+z)^2046 just
         # under it; tests/test_cli.py runs (1+z)^1023*(1+z)^1023
@@ -392,9 +402,9 @@ class TestHomomorphisms:
         # single binomial is summed, and z^2000 (work 1.6e7) is answered
         message = r"^a restriction of work \d+ is over the limit of 2147483648$"
         assert MAX_RESTRICT_WORK == 2**31
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(Pin2kError, match=message):
             z_pow(23170).restrict_s1()
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(Pin2kError, match=message):
             RingElem(0, (1,) * 1000 + (2**10**6,)).restrict_s1()
         assert z_pow(2000).restrict_s1().terms[0] == (-2000, 1)
 

@@ -219,7 +219,21 @@ def test_only_domain_errors_are_refusals():
     tries = [node for node in ast.walk(main) if isinstance(node, ast.Try)]
     arms = [ast.unparse(handler.type) for node in tries for handler in node.handlers]
     assert arms == ["BrokenPipeError", "Pin2kError", "MemoryError", "Exception"], arms
-    assert issubclass(_cap.__defaults__[0], Pin2kError)
+    assert _cap.__defaults__ == (Pin2kError,)
+
+
+def value_error_refusal(node):
+    if isinstance(node, ast.Raise) and node.exc is not None:
+        return ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc) == "ValueError"
+    return isinstance(node, ast.ClassDef) and any(ast.unparse(base) == "ValueError" for base in node.bases)
+
+
+def test_no_value_error_refusals():
+    # what the package refuses is a Pin2kError, in every layer, and main
+    # reports a bare ValueError as a bug: none is raised, and no error class
+    # derives from it
+    found = nodes(value_error_refusal)
+    assert not found, found
 
 
 def test_only_usage_errors_raise_system_exit():
@@ -359,7 +373,7 @@ for case in cases:
         block,
         block,
         block,
-        "ValueError q must be nonnegative",
+        "BoundsError q must be nonnegative",
         "UnsupportedBlockError n must have denominator dividing 16",
         "UnsupportedBlockError unsupported base block 1",
         "UnsupportedBlockError free cells must be int degrees",

@@ -173,7 +173,7 @@ class TestKappaAndSuspension:
         cls = SpectrumClass(space(GroupSuspension(), 1))
         for move in (cls.suspend, cls.desuspend):
             for counts in ({"t": -1}, {"l": -1}, {"t": 2, "l": -1}):
-                with pytest.raises(ValueError, match="^suspension counts must be nonnegative$"):
+                with pytest.raises(UnsupportedBlockError, match="^suspension counts must be nonnegative$"):
                     move(**counts)
 
     def test_suspension_invariance_of_kappa_under_normalization(self):
@@ -311,6 +311,10 @@ class TestBrieskorn:
                 function(11, "x")
             with pytest.raises(UnsupportedSeifertDataError, match="^bad orientation 'x'$"):
                 function(9, "x")  # the orientation is checked first
+            # the rule SpectrumClass applies to its m: an equal float or text is no int
+            for bad in (7.0, "7"):
+                with pytest.raises(UnsupportedSeifertDataError, match=f"^m must be an int, got {bad!r}$"):
+                    function(bad, "+")
 
     def test_m_limit(self):
         assert brieskorn_kappa(MAX_M - 3, "+") == 0  # 999997 = 12n + 1
