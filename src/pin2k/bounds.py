@@ -360,12 +360,12 @@ def _fillings(manifold):
 
 
 def manifold_kappa(manifold):
-    from .spectra import FAMILIES, brieskorn_kappa, s3_class
+    from .spectra import brieskorn_kappa, family_kappa
 
-    if manifold.family == "S3":
-        return s3_class().kappa()
     orientation = "+" if manifold.sign > 0 else "-"
-    return brieskorn_kappa(manifold.m or FAMILIES[manifold.family][0], orientation)
+    if manifold.m:  # a sporadic m passes brieskorn_kappa's checks, its cap too
+        return brieskorn_kappa(manifold.m, orientation)
+    return family_kappa(manifold.family, orientation)
 
 
 class XiBounds(Record):
@@ -396,13 +396,11 @@ def xi_bounds(manifold) -> XiBounds:
     up_fill = min((q + p - 1 for p, q, _ in fillings), default=None)
     up_orb = _ORBIFOLD_UPPER.get((manifold.sign, manifold.family))
     kappa = manifold_kappa(manifold)
-    if kappa.denominator != 1:  # a stored family or block is wrong, not the input
-        raise RuntimeError(f"kappa = {kappa} of {manifold.label()} is not an integer")
-    up_kappa = int(kappa) - 1
+    up_kappa = kappa - 1
     # a filling (p, q) of Y is a spin cobordism from the KG-split S^3 to Y, so
     # a stored one that fails the split bound is a wrong table, not the input
     for p, q, src in fillings:
-        verdict = split_bound(0, int(kappa), p, q)
+        verdict = split_bound(0, kappa, p, q)
         if verdict.status is Status.VIOLATED:
             label = manifold.label()
             raise RuntimeError(f"the filling {src!r} ({p}, {q}) of {label} fails the split bound {verdict.inequality}")

@@ -77,11 +77,6 @@ def _report(payload, name, sep):
     return "\n".join(lines)
 
 
-def _frac_json(value):
-    """A Fraction as JSON: an integer, or the string "a/b"."""
-    return int(value) if value.denominator == 1 else str(value)
-
-
 # -- ring ----------------------------------------------------------------------
 
 # Each command's table maps its actions to the arguments each one reads
@@ -160,7 +155,7 @@ def _brieskorn_payload(m, orientation):
         "blocks": cls.space.labels(),
         "m": cls.m,
         "n": str(cls.n),
-        "kappa": _frac_json(cls.kappa()),
+        "kappa": spectra.brieskorn_kappa(m, orientation),
         "kg_split": cls.is_floer_kg_split(),
     }
 
@@ -178,7 +173,7 @@ def _cmd_brieskorn(args):
     if args.action == "table":
         _cap("--max-m {}", args.max_m, MAX_TABLE_M, spectra.UnsupportedSeifertDataError)
         ms = [m for m in range(7, args.max_m + 1) if m % 2 and m % 3]
-        kappas = [(m, o, _frac_json(spectra.brieskorn_kappa(m, o))) for m in ms for o in "+-"]
+        kappas = [(m, o, spectra.brieskorn_kappa(m, o)) for m in ms for o in "+-"]
         rows = [{"m": m, "orientation": o, "kappa": kappa} for m, o, kappa in kappas]
         # the reversed orientation's label starts with -
         lines = [f"kappa({o.strip('+')}Sigma(2,3,{m})) = {kappa}" for m, o, kappa in kappas]
@@ -186,11 +181,9 @@ def _cmd_brieskorn(args):
 
     if (args.a, args.b) != (2, 3):
         raise spectra.UnsupportedSeifertDataError(f"only Sigma(2,3,m) is supported, got ({args.a},{args.b},...)")
-    if args.action == "kappa":
-        # kappa is constant on the family of m; only the JSON, which lists the
-        # blocks, needs the class of m
+    if args.action == "kappa":  # only the JSON lists the blocks of the class of m
         kappa = spectra.brieskorn_kappa(args.m, args.orient)
-        return f"kappa = {_frac_json(kappa)}", _brieskorn_payload(args.m, args.orient) if args.json else None
+        return f"kappa = {kappa}", _brieskorn_payload(args.m, args.orient) if args.json else None
     payload = _brieskorn_payload(args.m, args.orient)  # class
     return _report(payload, "blocks", " v "), payload
 

@@ -12,7 +12,7 @@ z = 2 - h.  The parser accepts both; storage is always in {w, z}.
 """
 
 from functools import partial, reduce
-from itertools import compress
+from itertools import accumulate, compress
 from math import comb
 from operator import mul
 
@@ -35,6 +35,17 @@ MAX_POWER_WORK = 2**33
 # `z^23169`, just under this cap, takes about 0.8 s and `z^2000` (work 1.6e7)
 # 0.01 s; a dense polynomial of degree 800 (work 6.9e8) about 0.5 s.
 MAX_RESTRICT_WORK = 2**31
+
+# Bound on the coefficients that one expression's values hold, each counted
+# as often as computing and reading it walks or copies them: a power's length,
+# the two factors of a product, a negated value, the running total at each
+# addition of a sum, and each item's value twice more for its readers (its
+# text, its w-multiplier).  The work caps count bits, one a coefficient for a
+# monomial's power, so `"+".join(["z^2000000"] * 100)` ran 12 s under them.
+# The slowest inputs under this cap, such as `ideal k --gens` with two copies
+# of `(z^932066+0)^2` or the 5788-factor `z*z*...*z`, take 0.7 to 1.3 s in
+# process, less than `(1+z)^2046` on the same 2-vCPU Xeon.
+MAX_COEFFICIENTS = 2**24
 
 
 def _strip(coeffs):
@@ -401,11 +412,14 @@ class _Tokens:
         self.pos = 0
         self.depth = 0
         self.work = 0  # of the powers and products read so far
+        self.coefficients = 0  # of the values read so far, as MAX_COEFFICIENTS counts them
 
     def check_work(self):
         """Refuses the expression, before any of it is computed, once the
-        powers and products read so far together pass the work cap."""
+        powers and products read so far together pass the work cap, or the
+        values read so far the coefficient cap."""
         _cap("an expression of work {}", self.work, MAX_POWER_WORK)
+        _cap("an expression of {} coefficients", self.coefficients, MAX_COEFFICIENTS)
 
     def peek(self):
         return self.items[self.pos]
@@ -431,12 +445,14 @@ class _Tokens:
 def parse(text, items=False):
     """Parse an expression over integers, w, z, c~, h with + - * ^ and parens;
     with items, the list of the comma-separated expressions of text, empty
-    ones skipped, which share one work cap."""
+    ones skipped, which share one work cap and one coefficient cap."""
     toks = _Tokens(text, items)
     makes, kind = [], None
     while kind != "end":
         if not items or toks.peek()[0] not in (",", "end"):  # else an empty item
-            makes.append(_parse_sum(toks)[0])
+            make, length, *_ = _parse_sum(toks)
+            toks.coefficients += 2 * length  # its readers
+            makes.append(make)
         kind, value, pos = toks.next()
         if kind not in (",", "end"):  # "," is a token only with items
             raise ParseError(f"trailing input {value!r}", text, pos)
@@ -462,7 +478,9 @@ def _parse_sum(toks):
             total = total + term() if sign > 0 else total - term()
         return total
 
-    length = max(factor[1] for factor in factors)
+    running = list(accumulate((factor[1] for factor in factors), max))
+    toks.coefficients += sum(running)  # each addition copies the running total
+    length = running[-1]
     terms = min(sum(factor[2] for factor in factors), length)
     return make, length, terms, max(factor[3] for factor in factors) + len(factors).bit_length()
 
@@ -497,6 +515,7 @@ def _parse_product(toks):
         work = terms * length_rhs * bits
         _cap("a product of work {}", work, MAX_POWER_WORK)
         toks.work += work
+        toks.coefficients += length + length_rhs
         toks.check_work()
         length = length + length_rhs - 1 if length and length_rhs else 0
         terms = min(terms * terms_rhs, length)
@@ -511,6 +530,7 @@ def _parse_unary(toks):
         toks.enter(toks.next()[2])
         make, *bounds = _parse_unary(toks)
         toks.depth -= 1
+        toks.coefficients += bounds[0]
         return (lambda: -make()), *bounds
     return _parse_power(toks)
 
@@ -529,12 +549,15 @@ def _parse_power(toks):
     if type(factor[0]) is partial:
         base, inner = factor[0].args
         n *= inner
-        toks.work -= base._power_bounds(inner)[3]
+        size, *_, work = base._power_bounds(inner)
+        toks.work -= work
+        toks.coefficients -= size
     else:
         toks.check_work()
         base = factor[0]()
     *bounds, work = base._power_bounds(n)
     toks.work += work
+    toks.coefficients += bounds[0]
     return partial(pow, base, n), *bounds
 
 

@@ -113,6 +113,14 @@ def k_of(space: SwfSpace) -> int:
     return space.base.l + space.base.suspended
 
 
+def _fraction(n):
+    """n, an int or a Fraction, as a Fraction; a bool, a float, a str or
+    anything else is refused."""
+    if type(n) is not int and type(n) is not Fraction:
+        raise UnsupportedBlockError(f"n must be an int or a Fraction, got {n!r}")
+    return Fraction(n)
+
+
 class SpectrumClass(Record):
     """Space with formal de-suspension counts (m sign planes, n quaternions)."""
 
@@ -123,7 +131,7 @@ class SpectrumClass(Record):
             raise UnsupportedBlockError(f"unsupported space {space!r}")
         if type(m) is not int:
             raise UnsupportedBlockError(f"m must be an int, got {m!r}")
-        n = Fraction(n)
+        n = _fraction(n)
         if (16 * n).denominator != 1:
             raise UnsupportedBlockError("n must have denominator dividing 16")
         super().__init__(space, m, n)
@@ -191,7 +199,7 @@ def s3_class() -> SpectrumClass:
 
 def psc_class(n_correction) -> SpectrumClass:
     """Class of a sphere-like flow with the given index correction n."""
-    return SpectrumClass(SwfSpace(RepSphere(0, 0)), 0, Fraction(n_correction) / 2)
+    return SpectrumClass(SwfSpace(RepSphere(0, 0)), 0, _fraction(n_correction) / 2)
 
 
 # Largest m that brieskorn_class accepts.  A class of Sigma(2,3,m) holds
@@ -249,12 +257,19 @@ def brieskorn_class(m, orientation="+") -> SpectrumClass:
 # kappa = 2(k(base) - n) reads only the base block and n, which FAMILIES fixes
 # per family and orientation (dual() maps both without reading the free cells),
 # so kappa is constant on a family.
-@lru_cache(maxsize=8)
-def family_kappa(family, orientation) -> Fraction:
-    """kappa of every Sigma(2, 3, m) in the family, with the chosen orientation."""
-    return brieskorn_class(FAMILIES[family][0], orientation).kappa()
+@lru_cache(maxsize=9)
+def family_kappa(family, orientation) -> int:
+    """kappa, as an int, of S^3 (family "S3") or of every Sigma(2, 3, m) in
+    the family, with the chosen orientation.  It holds the package's one check
+    that kappa is an integer, which only a wrong stored family or block fails."""
+    cls = s3_class() if family == "S3" else brieskorn_class(FAMILIES[family][0], orientation)
+    kappa = cls.kappa()
+    if kappa.denominator != 1:
+        label = "S^3" if family == "S3" else f"{orientation.strip('+')}Sigma(2,3,{family})"
+        raise RuntimeError(f"kappa = {kappa} of {label} is not an integer")
+    return int(kappa)
 
 
-def brieskorn_kappa(m, orientation="+") -> Fraction:
+def brieskorn_kappa(m, orientation="+") -> int:
     family, _ = _checked_family(m, orientation)
     return family_kappa(family, orientation)

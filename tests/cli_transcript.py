@@ -75,6 +75,8 @@ ERRORS = [
     "ring wmul '((1+z)^2046+0)*((1+z)^2046+0)'",
     "ring restrict z^2000000",
     "ideal info --gens 'z^2000+1,2'",
+    "ring eval " + "+".join(["z^2000000"] * 100),
+    "ideal k --gens " + ",".join(["z^2000000"] * 100),
     "ring eval １２",
     "bauer canonical --pieces 3 --non-split-boundary 7",
     "ring eval " + "7" * 5000,

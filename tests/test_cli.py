@@ -80,7 +80,13 @@ class TestExitCodes:
         [
             ("ideals.w_gcd", 5, "ideal info --gens 3*w", "completion broke d | e (e = 5, d = 2)"),
             ("ideals.w_gcd", 3, "ideal info --gens 2*w", "completion broke e | 2d (e = 3, d = 1)"),
-            ("bounds.manifold_kappa", Fraction(1, 2), "xi show S3", "kappa = 1/2 of S^3 is not an integer"),
+            ("spectra.SpectrumClass.kappa", Fraction(1, 2), "xi show S3", "kappa = 1/2 of S^3 is not an integer"),
+            (
+                "spectra.SpectrumClass.kappa",
+                Fraction(1, 2),
+                "brieskorn kappa 2 3 11",
+                "kappa = 1/2 of Sigma(2,3,12n-1) is not an integer",
+            ),
             (
                 "bounds._fillings",
                 [(2, 1, "K3 minus the nucleus")],
@@ -95,13 +101,23 @@ class TestExitCodes:
                 "the filling 'K3 minus the nucleus' (3, 1) of Sigma(2,3,11) fails the split bound 2 + 1 >= 0 + 3 + 1",
             ),
         ],
-        ids=["d-divides-e", "e-divides-2d", "integral-kappa", "lower-over-upper", "filling-fails-split"],
+        ids=[
+            "d-divides-e",
+            "e-divides-2d",
+            "integral-kappa",
+            "integral-family-kappa",
+            "lower-over-upper",
+            "filling-fails-split",
+        ],
     )
     def test_broken_invariant_is_internal(self, capsys, monkeypatch, target, value, command, message):
         # these checks fail only through a bug or a bad stored table, never
         # through the input, so they exit 3 and name the check and its values
-        module, name = target.split(".")
-        monkeypatch.setattr(importlib.import_module(f"pin2k.{module}"), name, lambda _: value)
+        module, *owner, name = target.split(".")
+        owner = functools.reduce(getattr, owner, importlib.import_module(f"pin2k.{module}"))
+        monkeypatch.setattr(owner, name, lambda _: value)
+        # a kappa cached before the patch would hide it
+        importlib.import_module("pin2k.spectra").family_kappa.cache_clear()
         code, out, err = run(capsys, *command.split())
         assert (code, out, err) == (3, "", f"internal error: RuntimeError: {message}\n")
 

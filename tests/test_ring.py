@@ -13,6 +13,7 @@ from pin2k import Pin2kError
 from pin2k.ring import (
     CTILDE,
     H,
+    MAX_COEFFICIENTS,
     MAX_POWER_BITS,
     MAX_POWER_WORK,
     MAX_RESTRICT_WORK,
@@ -364,6 +365,47 @@ class TestArithmetic:
             assert parse(text) == RingElem(0, binomials), text
         assert parse("(1+z)^2046*z") == RingElem(0, (0, *binomials))
         assert parse("(1-z)^2047") == RingElem(0, tuple((-1) ** k * comb(2047, k) for k in range(2048)))
+
+    def test_coefficient_cap(self):
+        # the work caps count bits, one a coefficient for a monomial's power,
+        # but each value is walked or copied coefficient by coefficient, so
+        # long values ran for seconds under them (the first input below took
+        # 12 s, its 100 items as one --gens list 20.7 s in `ideal k`).  The
+        # values of one expression share a cap on their coefficients, checked
+        # before the base of each power is computed, after each product and
+        # at the end, so each of these is refused before anything is
+        # computed.  z^2000000 has 2000001 coefficients.
+        two_million = "z^2000000"
+        for text, items, count in [
+            # the tenth power: nine powers before it
+            ("+".join([two_million] * 100), False, 9 * 2000001),
+            (",".join([two_million] * 100), True, 9 * 2000001),
+            # eight powers, a running total of 2000001 at each of 8 additions,
+            # and twice the value for its readers
+            ("+".join([two_million] * 8), False, (8 + 8 + 2) * 2000001),
+            # four powers, then each product's two factors: the third product
+            # is refused
+            ("*".join([two_million] * 4), False, 4 * 2000001 + (2 + 3 + 4) * 2000001 - 3),
+            # 0 has no coefficient; one power, 49 negations, the two additions
+            # and the readers
+            ("0" + "-" * 50 + two_million, False, (1 + 49 + 1 + 2) * 2000001),
+            # one power, the running total at each of 1001 additions, the readers
+            ("z^100000" + "+1" * 1000, False, (1 + 1001 + 2) * 100001),
+        ]:
+            start = time.perf_counter()
+            message = f"^an expression of {count} coefficients is over the limit of {MAX_COEFFICIENTS}$"
+            with pytest.raises(Pin2kError, match=message):
+                parse(text, items)
+            assert time.perf_counter() - start < 0.5, text
+        # a chain is counted by its running product: 6000 factors z, which
+        # took 0.6 to 0.7 s before this cap, are over it, and 5788 under it
+        with pytest.raises(Pin2kError, match=r"^an expression of \d+ coefficients is over the limit"):
+            parse("*".join(["z"] * 6000))
+        # these stay answered
+        assert parse(two_million) == z_pow(2000000)
+        assert parse("*".join(["z^2"] * 3000)) == z_pow(6000)
+        assert parse("+".join(f"z^{k}" for k in range(4000))) == RingElem(0, (1,) * 4000)
+        assert parse(",".join([two_million] * 2), items=True) == [z_pow(2000000)] * 2
 
     def test_big_integers_do_not_overflow(self):
         x = z_pow(40) + W

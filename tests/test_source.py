@@ -207,6 +207,18 @@ def test_one_reader_for_every_integer_given_as_text():
     assert [site.split(":")[0] for site in defs] == ["__init__.py"], defs
 
 
+def names_a_fraction(node):
+    name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+    return name in ("Fraction", "denominator", "_frac_json")
+
+
+def test_kappa_reaches_cli_and_bounds_as_an_int():
+    # spectra checks once that kappa is an integer and hands out the int, so
+    # the CLI and the xi pipeline neither check nor convert a fraction
+    found = [site for site in nodes(names_a_fraction) if site.split(":")[0] in ("cli.py", "bounds.py")]
+    assert not found, found
+
+
 def test_only_domain_errors_are_refusals():
     # main gives exit 2 to a Pin2kError and running out of memory, and to a
     # ValueError only for an answer over the output digit limit, which its

@@ -9,6 +9,7 @@ from pin2k.ideals import ideal_product, z_power_ideal
 from pin2k.ring import ONE, W, Z
 from pin2k.ideals import ideal_from_generators
 from pin2k.spectra import (
+    FAMILIES,
     MAX_M,
     GroupSuspension,
     RepSphere,
@@ -20,6 +21,7 @@ from pin2k.spectra import (
     brieskorn_class,
     brieskorn_family,
     brieskorn_kappa,
+    family_kappa,
     ideal_of,
     k_of,
     psc_class,
@@ -120,6 +122,12 @@ class TestBlockIdeals:
         for m in (1.5, Fraction(1), "0", True):
             with pytest.raises(UnsupportedBlockError, match="^m must be an int, got "):
                 SpectrumClass(space(GroupSuspension(), 1), m, 0)
+        # n is exact: a str, a float, a bool or None is refused, not converted
+        for n in ("x", "1/2", 0.5, True, None):
+            with pytest.raises(UnsupportedBlockError, match="^n must be an int or a Fraction, got "):
+                SpectrumClass(space(RepSphere()), 0, n)
+            with pytest.raises(UnsupportedBlockError, match="^n must be an int or a Fraction, got "):
+                psc_class(n)
         with pytest.raises(UnsupportedBlockError):
             SpectrumClass(space(RepSphere(0, 0)), 0, Fraction(1, 3))
         # a class holds a space, not a bare block: this ended in an AttributeError from kappa()
@@ -253,6 +261,14 @@ class TestBrieskorn:
         assert brieskorn_kappa(7, "-") == 1
         assert brieskorn_kappa(13, "+") == 0
         assert brieskorn_kappa(17, "-") == -1
+
+    def test_kappa_of_every_sphere_is_an_int(self):
+        # spectra checks once that kappa is an integer and hands out the int
+        for family, (smallest, *_) in FAMILIES.items():
+            for orient in "+-":
+                assert type(brieskorn_kappa(smallest, orient)) is int, (family, orient)
+        assert type(family_kappa("S3", "+")) is int
+        assert family_kappa("S3", "+") == 0
 
     def test_brieskorn_kappa_reads_the_family_table(self):
         for m in SUPPORTED_M:
