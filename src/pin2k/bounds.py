@@ -2,9 +2,10 @@
 
 Every check instantiates one exact inequality and returns a Verdict; all
 comparisons run in exact integers.  The xi pipeline combines three
-upper-bound routes (stored spin fillings, stored orbifold constants, and
-kappa computed through the spectrum-class machinery) with lower bounds read
-off the filling table.  Only the xi pipeline imports that machinery, and it
+upper-bound routes (stored spin fillings, the orbifold bound over the
+Neumann-Siebenmann invariant mu-bar of each family, and kappa computed
+through the spectrum-class machinery) with lower bounds read off the
+filling table.  Only the xi pipeline imports that machinery, and it
 does so on first use, so the other checks load neither spectra nor ideals.
 
 Filling table conventions: a stored filling (p, q) of a manifold Y also
@@ -337,17 +338,6 @@ _FILLINGS = {
     (1, 25): [(0, 0, "homology ball")],
 }
 
-# Printed orbifold-method upper bounds for xi, per family and orientation.
-_ORBIFOLD_UPPER = {
-    (1, "12n-1"): 0,
-    (-1, "12n-1"): -1,
-    (1, "12n-5"): -1,
-    (-1, "12n-5"): 0,
-    (1, "12n+1"): 0,
-    (-1, "12n+1"): -1,
-    (1, "12n+5"): 1,
-    (-1, "12n+5"): -2,
-}
 
 def _fillings(manifold):
     """All stored fillings of the given oriented manifold, reversals included."""
@@ -386,7 +376,8 @@ def xi_bounds(manifold) -> XiBounds:
 
     if isinstance(manifold, str):
         manifold = parse_manifold(manifold)
-    if manifold.family != "S3" and manifold.family not in FAMILIES:
+    row = FAMILIES.get(manifold.family)
+    if row is None and manifold.family != "S3":
         raise UnknownManifoldError(f"unsupported manifold {manifold!r}")
 
     fillings = _fillings(manifold)
@@ -394,7 +385,13 @@ def xi_bounds(manifold) -> XiBounds:
     lower, lower_src = max(lowers, key=lambda item: item[0], default=(None, None))
     # reversed, a filling (p, q) of Y is a filling (-p, q) of -Y, which caps Y
     up_fill = min((q + p - 1 for p, q, _ in fillings), default=None)
-    up_orb = _ORBIFOLD_UPPER.get((manifold.sign, manifold.family))
+    # b2plus - 1 - mu_bar(Y), orbifold_bound's q + b2plus >= 1 + mu_bar + p solved
+    # for p - q, with mu_bar(-Y) = -mu_bar(Y).  A filling of Y is capped by the
+    # orbifold disk bundle that -Y bounds, the mapping cylinder of its Seifert
+    # fibration.  The one that +Sigma(2,3,m) bounds has form (-1/(6m)), negative
+    # definite, so b2plus = 1 for +Sigma and 0 for -Sigma (Y. Fukumoto, M. Furuta
+    # and M. Ue, Topology Appl. 116 (2001)).
+    up_orb = None if row is None else (manifold.sign + 1) // 2 - 1 - manifold.sign * row[-1]
     kappa = manifold_kappa(manifold)
     up_kappa = kappa - 1
     # a filling (p, q) of Y is a spin cobordism from the KG-split S^3 to Y, so

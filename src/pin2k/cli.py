@@ -91,13 +91,14 @@ def _cmd_ring(args):
 
     x = ring.parse(args.expr)
     if args.action == "eval":
-        return str(x), {"expr": args.expr, "normal_form": str(x)}
-    if args.action == "augment":
-        return str(x.augment()), {"expr": args.expr, "augment": x.augment()}
-    if args.action == "restrict":
-        img = x.restrict_s1()
-        return str(img), {"expr": args.expr, "restriction": str(img)}
-    return str(x.w_multiplier()), {"expr": args.expr, "w_multiplier": x.w_multiplier()}  # wmul
+        key, value = "normal_form", str(x)
+    elif args.action == "augment":
+        key, value = "augment", x.augment()
+    elif args.action == "restrict":
+        key, value = "restriction", str(x.restrict_s1())
+    else:  # wmul
+        key, value = "w_multiplier", x.w_multiplier()
+    return str(value), {"expr": args.expr, key: value}
 
 
 # -- ideal ---------------------------------------------------------------------

@@ -194,7 +194,7 @@ class RingElem(Record):
     def _power_bounds(self, n):
         """Checks x^n against both caps before anything is multiplied and returns
         bounds on the length, the nonzero coefficients and the coefficient bits
-        of its polynomial part, and its work."""
+        of its polynomial part, its work, and P(2) of x."""
         if not isinstance(n, int) or n < 0:
             raise Pin2kError("exponent must be a nonnegative integer")
         p2 = _at_two(self.poly)
@@ -213,14 +213,13 @@ class RingElem(Record):
         terms = min(size, comb(terms + n - 1, n) if terms else 1)
         work = terms * size * coef_bits
         _cap("a power of work {}", work, MAX_POWER_WORK)
-        return size, terms, coef_bits, work
+        return size, terms, coef_bits, work, p2
 
     def __pow__(self, n):
         # P^n by squaring.  The w-part follows from w*x^n = w_multiplier(x)^n*w
         # and w*P^n = P(2)^n*w; the difference is even since
         # w_multiplier(x) = 2*lam + P(2).
-        self._power_bounds(n)
-        p2 = _at_two(self.poly)
+        *_, p2 = self._power_bounds(n)
         wpart = ((2 * self.wcoef + p2) ** n - p2**n) // 2
         if self.poly and not any(self.poly[:-1]):
             # c*z^m, whose power c^n*z^(mn) needs no product
@@ -549,13 +548,13 @@ def _parse_power(toks):
     if type(factor[0]) is partial:
         base, inner = factor[0].args
         n *= inner
-        size, *_, work = base._power_bounds(inner)
+        size, *_, work, _ = base._power_bounds(inner)
         toks.work -= work
         toks.coefficients -= size
     else:
         toks.check_work()
         base = factor[0]()
-    *bounds, work = base._power_bounds(n)
+    *bounds, work, _ = base._power_bounds(n)
     toks.work += work
     toks.coefficients += bounds[0]
     return partial(pow, base, n), *bounds

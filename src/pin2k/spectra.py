@@ -210,12 +210,13 @@ MAX_M = 10**6
 
 # The four families of Sigma(2, 3, m), gcd(m, 6) = 1, m >= 7: family -> (its
 # smallest member, the base block and n of the "+" class, the degree of its free
-# cells, and how many free cells it has beyond the family index).
+# cells, how many free cells it has beyond the family index, and the
+# Neumann-Siebenmann invariant mu-bar of the "+" sphere, constant on the family).
 FAMILIES = {
-    "12n-1": (11, GroupSuspension(), Fraction(0), 1, -1),
-    "12n-5": (7, GroupSuspension(), Fraction(1, 2), 1, -1),
-    "12n+1": (13, RepSphere(0, 1), Fraction(1), 3, 0),
-    "12n+5": (17, RepSphere(0, 1), Fraction(1, 2), 3, 0),
+    "12n-1": (11, GroupSuspension(), Fraction(0), 1, -1, 0),
+    "12n-5": (7, GroupSuspension(), Fraction(1, 2), 1, -1, 1),
+    "12n+1": (13, RepSphere(0, 1), Fraction(1), 3, 0, 0),
+    "12n+5": (17, RepSphere(0, 1), Fraction(1, 2), 3, 0, -1),
 }
 
 
@@ -249,7 +250,7 @@ def brieskorn_class(m, orientation="+") -> SpectrumClass:
     normalize() for the representative with negative cell degrees.
     """
     family, index = _checked_family(m, orientation)
-    _, base, n, degree, extra = FAMILIES[family]
+    _, base, n, degree, extra, _ = FAMILIES[family]
     cls = SpectrumClass(SwfSpace(base, (degree,) * (index + extra)), 0, n)
     return cls if orientation == "+" else cls.dual()
 

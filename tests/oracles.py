@@ -4,7 +4,10 @@ Everything here recomputes results from first principles and deliberately
 avoids the package's own arithmetic: ring products come from structure
 constants on the additive basis (1, z, z^2, ..., w), and ideal membership
 uses a self-contained integer row reduction over truncated coordinates.
-Elements are handled as raw (poly, wcoef) pairs of plain integers.
+Elements are handled as raw (poly, wcoef) pairs of plain integers.  The
+Neumann-Siebenmann invariant of Sigma(2, 3, m) comes from its plumbing,
+built from (2, 3, m) alone.  Only random_combination, which builds test data
+and is no oracle, imports the package.
 """
 
 from __future__ import annotations
@@ -233,6 +236,69 @@ def mul_matrix_oracle(xpair, ypair):
     while poly and poly[-1] == 0:
         poly.pop()
     return tuple(poly), out[-1]
+
+
+# -- the Neumann-Siebenmann invariant of Sigma(2, 3, m) -----------------------------
+
+
+def brieskorn_plumbing(m):
+    """Weights and edges of the negative-definite star plumbing that
+    Sigma(2, 3, m), gcd(m, 6) = 1, bounds.  Vertex 0 is the centre.  The leg
+    of the fibre of multiplicity a has weights minus the continued fraction
+    a/omega = k_1 - 1/(k_2 - ...), every k_j >= 2, for the Seifert invariant
+    omega = -(6m/a)^(-1) mod a; the central weight e_0 makes the Euler number
+    e = e_0 + sum omega/a satisfy e * 6m = -1.  W. Neumann, "A calculus for
+    plumbing applied to the topology of complex surface singularities and
+    degenerating complex curves", Trans. AMS 268 (1981)."""
+    order = 6 * m
+    weights, edges, lift = [0], [], 0
+    for a in (2, 3, m):
+        omega = -pow(order // a, -1, a) % a
+        lift += omega * (order // a)
+        last, num, den = 0, a, omega
+        while den:
+            k = -(-num // den)
+            weights.append(-k)
+            edges.append((last, len(weights) - 1))
+            last = len(weights) - 1
+            num, den = den, k * den - num
+    weights[0], rest = divmod(-1 - lift, order)
+    if rest:
+        raise ArithmeticError(f"no integral central weight for m = {m}")
+    return weights, edges
+
+
+def _gf2_solve(rows, n):
+    """x over GF(2) with row_i . x = bit n of row_i, the rows held as int
+    bitsets of n columns and the right-hand side; the matrix must be invertible."""
+    rows = list(rows)
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if rows[i] >> col & 1)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for i in range(n):
+            if i != col and rows[i] >> col & 1:
+                rows[i] ^= rows[col]
+    return [row >> n & 1 for row in rows]
+
+
+def mu_bar(m):
+    """The Neumann-Siebenmann invariant of +Sigma(2, 3, m), the boundary of the
+    negative-definite plumbing: (sigma - w.w) / 8 for the Wu set w, the
+    solution of Q w = diag Q mod 2, and sigma = -|V|.  W. Neumann, "An
+    invariant of plumbed homology spheres", LNM 788 (1980)."""
+    weights, edges = brieskorn_plumbing(m)
+    n = len(weights)
+    rows = [(weight & 1) << i | (weight & 1) << n for i, weight in enumerate(weights)]
+    for i, j in edges:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    wu = _gf2_solve(rows, n)
+    square = sum(weight for weight, bit in zip(weights, wu) if bit)
+    square += 2 * sum(wu[i] & wu[j] for i, j in edges)
+    mu, rest = divmod(-n - square, 8)
+    if rest:
+        raise ArithmeticError(f"sigma - w.w = {-n - square} is not a multiple of 8 for m = {m}")
+    return mu
 
 
 # -- random data -------------------------------------------------------------------

@@ -28,6 +28,9 @@ from pin2k.bounds import (
     xi_bounds,
     xi_table_rows,
 )
+from pin2k.spectra import FAMILIES
+
+from oracles import mu_bar
 
 
 class TestForms:
@@ -284,3 +287,40 @@ class TestStoredFillings:
         (p1, q1), (p2, q2) = filling("-" + y, piece), filling(y, complement)
         assert (p1 + p2, q1 + q2) == filling("S3", "K3 minus a ball") == (2, 3)
         assert furuta_closed(p1 + p2, q1 + q2).status is Status.SATISFIED
+
+
+class TestNeumannSiebenmann:
+    """The orbifold route and the parity of kappa and of every stored filling
+    against mu-bar, which tests/oracles.py computes from the plumbing of
+    Sigma(2, 3, m) alone; mu_bar(-Y) = -mu_bar(Y), and b2plus of the orbifold
+    cap is 1 for +Sigma and 0 for -Sigma."""
+
+    @staticmethod
+    def mu_bar_of(manifold):
+        if manifold.family == "S3":
+            return 0
+        return manifold.sign * mu_bar(manifold.m or FAMILIES[manifold.family][0])
+
+    def test_orbifold_upper_is_the_largest_p_minus_q_orbifold_bound_allows(self):
+        for family in FAMILIES:
+            for sign, b2plus in ((1, 1), (-1, 0)):
+                manifold = Manifold(sign, family, None)
+                upper, mu = xi_bounds(manifold).upper_orbifold, self.mu_bar_of(manifold)
+                assert upper == b2plus - 1 - mu, (sign, family)
+                for q in (1, 2, 5):
+                    where = (sign, family, q)
+                    assert orbifold_bound(upper + q, q, b2plus, mu).status is Status.SATISFIED, where
+                    assert orbifold_bound(upper + 1 + q, q, b2plus, mu).status is Status.VIOLATED, where
+        assert xi_bounds("S3").upper_orbifold is None
+
+    def test_kappa_and_fillings_have_the_parity_of_mu_bar(self):
+        # Rokhlin: a spin filling (p, q) of Y has signature -8p, and mu-bar
+        # reduces mod 2 to the Rokhlin invariant, so p = mu_bar(Y) mod 2
+        checked = 0
+        for manifold in TestStoredFillings.MANIFOLDS:
+            mu = self.mu_bar_of(manifold)
+            assert (manifold_kappa(manifold) - mu) % 2 == 0, manifold.label()
+            for p, q, source in bounds._fillings(manifold):
+                assert (p - mu) % 2 == 0, (manifold.label(), source)
+                checked += 1
+        assert checked == 30

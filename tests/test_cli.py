@@ -416,6 +416,24 @@ class TestRing:
         code, out, _ = run(capsys, "ring", "eval", "(1 - w)*(1 - w)")
         assert code == 0 and out.strip() == "1"
 
+    @pytest.mark.parametrize("action,method", [("eval", "__str__"), ("wmul", "w_multiplier")])
+    def test_each_answer_is_computed_once(self, capsys, monkeypatch, action, method):
+        # the text and the JSON share one value: computed for each, the answer
+        # to ring eval '(z^932066+0)^2' took its str, 53 ms, twice
+        from pin2k.ring import RingElem
+
+        calls, real = [], getattr(RingElem, method)
+
+        def counted(x):
+            calls.append(method)
+            return real(x)
+
+        monkeypatch.setattr(RingElem, method, counted)
+        for flags in ((), ("--json",)):
+            calls.clear()
+            code, _, _ = run(capsys, "ring", action, "3 + z", *flags)
+            assert code == 0 and len(calls) == 1, (action, flags, calls)
+
     def test_json_matches_table(self, capsys):
         _, out, _ = run(capsys, "ring", "wmul", "3 + z")
         _, payload = run_json(capsys, "ring", "wmul", "3 + z")

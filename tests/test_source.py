@@ -219,6 +219,28 @@ def test_kappa_reaches_cli_and_bounds_as_an_int():
     assert not found, found
 
 
+def imports_the_package(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "pin2k" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "pin2k"
+
+
+def test_oracles_do_not_import_the_package():
+    # a check against an oracle means something only while the oracle shares
+    # none of the package's code; random_combination builds package elements
+    # as test data for membership and is no oracle
+    tree = ast.parse((SRC.parent.parent / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    found = [getattr(top, "name", top.lineno) for top in tree.body for node in ast.walk(top) if imports_the_package(node)]
+    assert found == ["random_combination"], found
+
+
+def test_orbifold_route_is_computed():
+    # the orbifold upper is orbifold_bound's inequality over the mu-bar column
+    # of spectra.FAMILIES, not a stored table
+    found = nodes(lambda node: "_ORBIFOLD_UPPER" in (getattr(node, "id", None), getattr(node, "attr", None)))
+    assert not found, found
+
+
 def test_only_domain_errors_are_refusals():
     # main gives exit 2 to a Pin2kError and running out of memory, and to a
     # ValueError only for an answer over the output digit limit, which its

@@ -28,6 +28,8 @@ from pin2k.spectra import (
     s3_class,
 )
 
+from oracles import mu_bar
+
 AUG = ideal_from_generators([W, Z])
 
 FAMILY_KAPPA = {"12n-1": (2, 0), "12n-5": (1, 1), "12n+1": (0, 0), "12n+5": (1, -1)}
@@ -269,6 +271,13 @@ class TestBrieskorn:
                 assert type(brieskorn_kappa(smallest, orient)) is int, (family, orient)
         assert type(family_kappa("S3", "+")) is int
         assert family_kappa("S3", "+") == 0
+
+    def test_mu_bar_column_is_the_plumbing_invariant(self):
+        # the oracle reads mu-bar off the plumbing that (2, 3, m) alone fixes
+        for m in range(7, 602):
+            if m % 2 and m % 3:
+                family, _ = brieskorn_family(m)
+                assert FAMILIES[family][-1] == mu_bar(m), (m, family)
 
     def test_brieskorn_kappa_reads_the_family_table(self):
         for m in SUPPORTED_M:
