@@ -147,7 +147,6 @@ _HOMES = {
         "brieskorn_kappa",
         "ideal_of",
         "psc_class",
-        "s3_class",
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

@@ -86,6 +86,8 @@ def definite_bound(kappa0, kappa1, b2):
 
 def relative_10_8(kappa0, kappa1, p, q):
     """General spin cobordism: kappa1 + q >= kappa0 + p - 1."""
+    if q < 0:
+        return Verdict(Status.INAPPLICABLE, f"q = {q} but q >= 0 is required")
     return _verdict(
         kappa1 + q >= kappa0 + p - 1,
         f"{kappa1} + {q} >= {kappa0} + {p} - 1",
@@ -126,6 +128,8 @@ def orbifold_bound(p, q, b2plus_filling, mu_bar):
     """Orbifold-capped 10/8 bound: q + b2plus >= 1 + mu_bar + p."""
     if q < 1:
         return Verdict(Status.INAPPLICABLE, f"q = {q} but q >= 1 is required")
+    if b2plus_filling < 0:
+        return Verdict(Status.INAPPLICABLE, f"b2plus = {b2plus_filling} but b2plus >= 0 is required")
     return _verdict(
         q + b2plus_filling >= 1 + mu_bar + p,
         f"{q} + {b2plus_filling} >= 1 + {mu_bar} + {p}",
@@ -301,7 +305,7 @@ _MANIFOLD_RE = re.compile(r"^(-?)Sigma\(2,\s*3,\s*([0-9n+-]+)\)$")
 
 
 def parse_manifold(text):
-    from .spectra import FAMILIES, UnsupportedSeifertDataError, brieskorn_family
+    from .spectra import FAMILIES, MAX_M, UnsupportedSeifertDataError, brieskorn_family
 
     text = text.strip()
     if text in ("S3", "S^3"):
@@ -321,6 +325,7 @@ def parse_manifold(text):
         family, _ = brieskorn_family(m)
     except UnsupportedSeifertDataError:
         raise UnknownManifoldError(f"unsupported manifold {text!r}") from None
+    _cap("m = {}", m, MAX_M, UnsupportedSeifertDataError)
     return Manifold(sign, family, m)
 
 
@@ -349,15 +354,6 @@ def _fillings(manifold):
     ]
 
 
-def manifold_kappa(manifold):
-    from .spectra import brieskorn_kappa, family_kappa
-
-    orientation = "+" if manifold.sign > 0 else "-"
-    if manifold.m:  # a sporadic m passes brieskorn_kappa's checks, its cap too
-        return brieskorn_kappa(manifold.m, orientation)
-    return family_kappa(manifold.family, orientation)
-
-
 class XiBounds(Record):
     """Bounds on xi of one manifold: the lower bound, the three upper-bound
     routes, their minimum and the exact value where the bounds meet; None
@@ -372,7 +368,7 @@ class XiBounds(Record):
 
 def xi_bounds(manifold) -> XiBounds:
     """Best stored/computed bounds on xi = max(p - q) over spin fillings."""
-    from .spectra import FAMILIES
+    from .spectra import FAMILIES, family_kappa
 
     if isinstance(manifold, str):
         manifold = parse_manifold(manifold)
@@ -392,7 +388,7 @@ def xi_bounds(manifold) -> XiBounds:
     # definite, so b2plus = 1 for +Sigma and 0 for -Sigma (Y. Fukumoto, M. Furuta
     # and M. Ue, Topology Appl. 116 (2001)).
     up_orb = None if row is None else (manifold.sign + 1) // 2 - 1 - manifold.sign * row[-1]
-    kappa = manifold_kappa(manifold)
+    kappa = family_kappa(manifold.family, "+" if manifold.sign > 0 else "-")
     up_kappa = kappa - 1
     # a filling (p, q) of Y is a spin cobordism from the KG-split S^3 to Y, so
     # a stored one that fails the split bound is a wrong table, not the input

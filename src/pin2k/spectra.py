@@ -193,10 +193,6 @@ class SpectrumClass(Record):
         return SpectrumClass(SwfSpace(_DUAL_KIND[type(base)](), tuple(cells)), new_m, new_n)
 
 
-def s3_class() -> SpectrumClass:
-    return SpectrumClass(SwfSpace(RepSphere(0, 0)), 0, Fraction(0))
-
-
 def psc_class(n_correction) -> SpectrumClass:
     """Class of a sphere-like flow with the given index correction n."""
     return SpectrumClass(SwfSpace(RepSphere(0, 0)), 0, _fraction(n_correction) / 2)
@@ -263,7 +259,7 @@ def family_kappa(family, orientation) -> int:
     """kappa, as an int, of S^3 (family "S3") or of every Sigma(2, 3, m) in
     the family, with the chosen orientation.  It holds the package's one check
     that kappa is an integer, which only a wrong stored family or block fails."""
-    cls = s3_class() if family == "S3" else brieskorn_class(FAMILIES[family][0], orientation)
+    cls = psc_class(0) if family == "S3" else brieskorn_class(FAMILIES[family][0], orientation)
     kappa = cls.kappa()
     if kappa.denominator != 1:
         label = "S^3" if family == "S3" else f"{orientation.strip('+')}Sigma(2,3,{family})"

@@ -39,6 +39,7 @@ BOUNDS = [
     "definite --kappa0 0 --kappa1 2 --b2 8",
     "relative --kappa0 0 --kappa1 2 --p 1 --q 1",
     "relative --kappa0 0 --kappa1 0 --p 3 --q 2",
+    "relative --p -3 --q -5",
     "split --p 1 --q 1 --kappa1 2",
     "split --p 2 --q 2 --non-split --refined",
     "furuta --p 2 --q 3",
@@ -47,6 +48,7 @@ BOUNDS = [
     "conjecture --p 2 --q 3",
     "orbifold --p 1 --q 2 --b2plus 1 --mubar 2",
     "orbifold --p 2 --q 1",
+    "orbifold --q 1 --b2plus -4",
     "rokhlin --kappa0 0 --kappa1 1 --p 1",
     "rokhlin --kappa0 0 --kappa1 0 --p 1",
     "bohr-lee --kappa 3",

@@ -28,7 +28,7 @@ from pin2k.spectra import (
     brieskorn_family,
     ideal_of,
     k_of,
-    s3_class,
+    psc_class,
 )
 
 from oracles import ideal_member_oracle, random_combination, random_generator_set, random_pair
@@ -61,7 +61,7 @@ def test_criterion_1_family_kappa_table():
 
 
 def test_criterion_2_splitness_classification():
-    assert s3_class().is_floer_kg_split()
+    assert psc_class(0).is_floer_kg_split()
     mismatches = 0
     for m in ALL_M:
         family, _ = brieskorn_family(m)

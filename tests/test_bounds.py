@@ -18,7 +18,6 @@ from pin2k.bounds import (
     conjecture_11_8,
     definite_bound,
     furuta_closed,
-    manifold_kappa,
     orbifold_bound,
     parse_chain,
     parse_manifold,
@@ -28,9 +27,13 @@ from pin2k.bounds import (
     xi_bounds,
     xi_table_rows,
 )
-from pin2k.spectra import FAMILIES
+from pin2k.spectra import FAMILIES, UnsupportedSeifertDataError, family_kappa
 
 from oracles import mu_bar
+
+
+def kappa_of(manifold):
+    return family_kappa(manifold.family, "+" if manifold.sign > 0 else "-")
 
 
 class TestForms:
@@ -54,6 +57,8 @@ class TestCobordismBounds:
         assert relative_10_8(0, 0, 2, 1).status is Status.SATISFIED
         assert relative_10_8(0, 0, 3, 1).status is Status.VIOLATED
         assert relative_10_8(2, 0, 0, 0).status is Status.VIOLATED
+        # no form has a negative q: no verdict rather than a Violated one
+        assert relative_10_8(0, 0, -3, -5) == Verdict(Status.INAPPLICABLE, "q = -5 but q >= 0 is required")
 
     def test_split(self):
         assert split_bound(0, 0, 2, 3).status is Status.SATISFIED
@@ -104,6 +109,8 @@ class TestCobordismBounds:
         assert orbifold_bound(2, 1, 1, 0).status is Status.VIOLATED  # p - q >= 1 excluded
         assert orbifold_bound(1, 1, 0, 0).status is Status.VIOLATED  # reversed orientation
         assert orbifold_bound(1, 0, 1, 0).status is Status.INAPPLICABLE
+        # no filling has a negative b2plus: no verdict rather than a Violated one
+        assert orbifold_bound(0, 1, -4, 0) == Verdict(Status.INAPPLICABLE, "b2plus = -4 but b2plus >= 0 is required")
 
     def test_rokhlin(self):
         assert rokhlin_consistency(0, 1, 1).status is Status.SATISFIED
@@ -246,13 +253,20 @@ class TestXi:
             parse_manifold("Sigma(2,3,9)")
         with pytest.raises(UnknownManifoldError):
             parse_manifold("lens(7,1)")
+        # m is capped where it is read, after the family check: 1000003 = 12n - 5
+        # is over the cap, 1000002 is in no family
+        with pytest.raises(UnsupportedSeifertDataError, match=r"^m = 1000003 is over the limit of 1000000$"):
+            parse_manifold("Sigma(2,3,1000003)")
+        with pytest.raises(UnknownManifoldError, match=r"^unsupported manifold 'Sigma\(2,3,1000002\)'$"):
+            parse_manifold("Sigma(2,3,1000002)")
+        assert parse_manifold("-Sigma(2,3,999997)") == Manifold(-1, "12n+1", 999997)
 
 
 class TestStoredFillings:
     """The stored fillings against the package's own theorems: a typo in a
     table would otherwise be pinned by the golden xi table as if it were right."""
 
-    MANIFOLDS = [row.manifold for row in xi_table_rows()] + [
+    MANIFOLDS = [parse_manifold(name) for name in bounds._XI_TABLE_ROWS] + [
         parse_manifold(f"{sign}Sigma(2,3,{m})") for m in (7, 11, 13, 25) for sign in ("", "-")
     ]
 
@@ -260,7 +274,7 @@ class TestStoredFillings:
         # a filling (p, q) of Y is a spin cobordism from the KG-split S^3 to Y
         checked = 0
         for manifold in self.MANIFOLDS:
-            kappa = int(manifold_kappa(manifold))
+            kappa = kappa_of(manifold)
             for p, q, source in bounds._fillings(manifold):
                 where = (manifold.label(), source)
                 assert relative_10_8(0, kappa, p, q).status is Status.SATISFIED, where
@@ -319,7 +333,7 @@ class TestNeumannSiebenmann:
         checked = 0
         for manifold in TestStoredFillings.MANIFOLDS:
             mu = self.mu_bar_of(manifold)
-            assert (manifold_kappa(manifold) - mu) % 2 == 0, manifold.label()
+            assert (kappa_of(manifold) - mu) % 2 == 0, manifold.label()
             for p, q, source in bounds._fillings(manifold):
                 assert (p - mu) % 2 == 0, (manifold.label(), source)
                 checked += 1

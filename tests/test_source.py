@@ -241,6 +241,18 @@ def test_orbifold_route_is_computed():
     assert not found, found
 
 
+def test_kappa_of_a_sphere_has_one_route():
+    # xi_bounds reads kappa of every sphere through spectra.family_kappa, and
+    # parse_manifold caps a sporadic m, so bounds.py builds no class of m
+    def named(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+
+    classes_of_m = nodes(lambda node: named(node) in ("brieskorn_kappa", "brieskorn_class"))
+    found = nodes(lambda node: named(node) in ("manifold_kappa", "s3_class"))
+    found += [site for site in classes_of_m if site.startswith("bounds.py:")]
+    assert not found, found
+
+
 def test_only_domain_errors_are_refusals():
     # main gives exit 2 to a Pin2kError and running out of memory, and to a
     # ValueError only for an answer over the output digit limit, which its
