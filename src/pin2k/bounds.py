@@ -44,9 +44,6 @@ class Status(str, Enum):
 class Verdict(Record):
     __slots__ = ("status", "inequality")
 
-    def exit_code(self):
-        return 1 if self.status is Status.VIOLATED else 0
-
 
 class IntersectionForm(Record):
     """p copies of -E8 (negative p means +E8) plus q hyperbolic summands."""
@@ -366,16 +363,13 @@ class XiBounds(Record):
         return f"{equals}{self.exact}" if self.exact is not None else f"in [{self.lower}, {self.upper}]"
 
 
-def xi_bounds(manifold) -> XiBounds:
-    """Best stored/computed bounds on xi = max(p - q) over spin fillings."""
+def xi_bounds(text) -> XiBounds:
+    """Best stored/computed bounds on xi = max(p - q) over spin fillings of
+    the manifold that text names, as parse_manifold reads it."""
     from .spectra import FAMILIES, family_kappa
 
-    if isinstance(manifold, str):
-        manifold = parse_manifold(manifold)
-    row = FAMILIES.get(manifold.family)
-    if row is None and manifold.family != "S3":
-        raise UnknownManifoldError(f"unsupported manifold {manifold!r}")
-
+    manifold = parse_manifold(text)
+    row = FAMILIES.get(manifold.family)  # None only for S^3
     fillings = _fillings(manifold)
     lowers = [(p - q, src) for p, q, src in fillings if q > 0]
     lower, lower_src = max(lowers, key=lambda item: item[0], default=(None, None))

@@ -194,7 +194,10 @@ def _cmd_brieskorn(args):
 
 def _verdict_result(verdict, **extra):
     """A verdict's answer: its text, its JSON and, unlike any other answer, its exit code."""
-    return f"{verdict.status.capitalize()}: {verdict.inequality}", {**verdict._asdict(), **extra}, verdict.exit_code()
+    from .bounds import Status
+
+    code = 1 if verdict.status is Status.VIOLATED else 0
+    return f"{verdict.status.capitalize()}: {verdict.inequality}", {**verdict._asdict(), **extra}, code
 
 
 _INT = {"type": int, "default": 0}

@@ -81,7 +81,8 @@ class NoWitnessBelowCapError(IdealError):
 
 
 class NoSuchKError(IdealError):
-    """The ideal meets no line Z*z^k + Z*w with nonzero z-part below the cap."""
+    """The ideal meets no line Z*z^k + Z*w with nonzero z-part, or none with k
+    at or below the cap."""
 
 
 class IdealForm(Record):
@@ -137,14 +138,17 @@ class IdealForm(Record):
         with a nonzero multiple of z^k in J.  The lowest polynomial basis
         element b has the least degree of any nonzero element of J, so it
         generates J over Q; J thus holds some c*z^k iff b is a monomial c*z^j,
-        and then the least such k is j.  Above k_max, NoSuchKError is raised.
+        and then the least such k is j.  NoSuchKError is raised when no k
+        exists, and when the least one is above k_max.
         """
         if self.is_zero():
             raise NoSuchKError("zero ideal")
         low = next((b.poly for b in self.basis if b.poly), ())
-        if low and not any(low[:-1]) and len(low) <= k_max + 1:
-            return len(low) - 1
-        raise NoSuchKError(f"no suitable power of z up to {k_max}")
+        if not low or any(low[:-1]):
+            raise NoSuchKError("no lam*z^k + mu*w with lam != 0 lies in the ideal")
+        if len(low) > k_max + 1:
+            raise NoSuchKError(f"no suitable power of z up to {k_max}")
+        return len(low) - 1
 
 
 def w_gcd(gens):
@@ -199,8 +203,7 @@ def _sub(x, q, f, s):
 
 
 def ideal_from_generators(gens):
-    """Canonical completed form of the ideal generated by gens."""
-    gens = [g if isinstance(g, RingElem) else RingElem(0, (g,)) for g in gens]
+    """Canonical completed form of the ideal generated by the ring elements gens."""
     gens = [g for g in gens if not g.is_zero()]
     max_deg = max((g.degree for g in gens if g.poly), default=-1)
     _cap("a generator of degree {}", max_deg, MAX_DEGREE, IdealError)

@@ -245,6 +245,12 @@ class TestXi:
                 assert row.lower <= row.upper
             assert (row.exact is not None) == (row.lower == row.upper)
 
+    def test_xi_bounds_reads_only_text(self):
+        # xi_bounds reads its manifold through parse_manifold, so a record that
+        # no text names, such as -S^3, is refused instead of answered
+        with pytest.raises(AttributeError):
+            xi_bounds(Manifold(-1, "S3"))
+
     def test_parse_manifold(self):
         assert parse_manifold("S3") == Manifold()
         assert parse_manifold("Sigma(2,3,11)") == Manifold(1, "12n-1", 11)
@@ -319,7 +325,7 @@ class TestNeumannSiebenmann:
         for family in FAMILIES:
             for sign, b2plus in ((1, 1), (-1, 0)):
                 manifold = Manifold(sign, family, None)
-                upper, mu = xi_bounds(manifold).upper_orbifold, self.mu_bar_of(manifold)
+                upper, mu = xi_bounds(manifold.label()).upper_orbifold, self.mu_bar_of(manifold)
                 assert upper == b2plus - 1 - mu, (sign, family)
                 for q in (1, 2, 5):
                     where = (sign, family, q)

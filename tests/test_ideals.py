@@ -107,7 +107,13 @@ class TestCanonicalForm:
         assert MAX_DEGREE == 1024
         assert ideal_from_generators([z_pow(1024), W]).basis[-1] == z_pow(1024)
         with pytest.raises(IdealError, match="^a generator of degree 1025 is over the limit of 1024$"):
-            ideal_from_generators([z_pow(1025), 2])
+            ideal_from_generators([z_pow(1025), RingElem(0, (2,))])
+
+    def test_generators_are_ring_elements(self):
+        # completion coerces no generator: a bare int is refused, not read as
+        # the constant polynomial
+        with pytest.raises(AttributeError):
+            ideal_from_generators([2])
 
     def test_generator_order_is_irrelevant(self):
         a = ideal_from_generators([W, Z])
@@ -497,11 +503,13 @@ class TestExponents:
     def test_zw_errors(self):
         with pytest.raises(NoSuchKError, match="^zero ideal$"):
             ideal_from_generators([]).zw_exponent(8)
-        with pytest.raises(NoSuchKError, match="^no suitable power of z up to 8$"):
+        # no exponent at all, for a lowest polynomial element that is not a
+        # monomial or for none, names no cap; one above the cap names it
+        with pytest.raises(NoSuchKError, match=r"^no lam\*z\^k \+ mu\*w with lam != 0 lies in the ideal$"):
             ideal_from_generators([parse("z - 2")]).zw_exponent(8)
         with pytest.raises(NoSuchKError, match="^no suitable power of z up to 2$"):
             z_power_ideal(3).zw_exponent(2)
-        with pytest.raises(NoSuchKError, match="^no suitable power of z up to 64$"):
+        with pytest.raises(NoSuchKError, match=r"^no lam\*z\^k \+ mu\*w with lam != 0 lies in the ideal$"):
             ideal_from_generators([W]).zw_exponent()
 
     def test_zw_monomial_and_non_monomial_families(self):

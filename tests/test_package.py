@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -81,6 +82,35 @@ def test_public_names_resolve_to_their_home_objects(name):
 def test_unknown_names_raise_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         getattr(pin2k, "no_such_name")
+
+
+# Lists dir(pin2k) and the layers loaded then, then reads pin2k.bounds as
+# the first import of any layer and prints what it got and what is loaded.
+LAZY_PROBE = """
+import json, sys
+import pin2k
+listed = dir(pin2k)
+layers = sorted(m for m in sys.modules if m.startswith("pin2k."))
+bounds = pin2k.bounds
+print(json.dumps([sorted(set(pin2k.__all__) - set(listed)), layers, bounds is sys.modules["pin2k.bounds"],
+                  sorted(m for m in sys.modules if m.startswith("pin2k."))]))
+"""
+
+
+def test_lazy_exports_in_a_fresh_interpreter():
+    # in this process the layers are already imported, so the package's
+    # __getattr__ never meets a layer name and nothing calls its __dir__
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", LAZY_PROBE],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    unlisted, layers_after_dir, is_the_module, layers_after_read = json.loads(proc.stdout)
+    assert unlisted == [] and layers_after_dir == []
+    assert is_the_module and layers_after_read == ["pin2k.bounds"]
 
 
 def test_domain_errors_share_one_base():

@@ -5,6 +5,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "pin2k"
 
 
@@ -207,16 +209,43 @@ def test_one_reader_for_every_integer_given_as_text():
     assert [site.split(":")[0] for site in defs] == ["__init__.py"], defs
 
 
-def names_a_fraction(node):
-    name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
-    return name in ("Fraction", "denominator", "_frac_json")
+def named(node):
+    return getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
 
 
-def test_kappa_reaches_cli_and_bounds_as_an_int():
-    # spectra checks once that kappa is an integer and hands out the int, so
-    # the CLI and the xi pipeline neither check nor convert a fraction
-    found = [site for site in nodes(names_a_fraction) if site.split(":")[0] in ("cli.py", "bounds.py")]
-    assert not found, found
+# Names deleted from the package: the files that must not name them again
+# (None for every file), the names, and why they went
+DELETED_NAMES = [
+    (
+        ("cli.py", "bounds.py"),
+        ("Fraction", "denominator", "_frac_json"),
+        "spectra checks once that kappa is an integer and hands out the int, "
+        "so the CLI and the xi pipeline neither check nor convert a fraction",
+    ),
+    (
+        None,
+        ("_ORBIFOLD_UPPER",),
+        "the orbifold upper is orbifold_bound's inequality over the mu-bar "
+        "column of spectra.FAMILIES, not a stored table",
+    ),
+    (
+        None,
+        ("manifold_kappa", "s3_class"),
+        "xi_bounds reads kappa of every sphere through spectra.family_kappa, and S^3's class is psc_class(0)",
+    ),
+    (
+        ("bounds.py",),
+        ("brieskorn_kappa", "brieskorn_class"),
+        "parse_manifold caps a sporadic m, so the xi pipeline builds no class of m",
+    ),
+    (("bounds.py",), ("exit_code",), "only cli.py maps a verdict to its exit code"),
+]
+
+
+@pytest.mark.parametrize("files,names,reason", DELETED_NAMES, ids=[",".join(row[1]) for row in DELETED_NAMES])
+def test_deleted_names_stay_deleted(files, names, reason):
+    found = [site for site in nodes(lambda node: named(node) in names) if files is None or site.split(":")[0] in files]
+    assert not found, (reason, found)
 
 
 def imports_the_package(node):
@@ -232,25 +261,6 @@ def test_oracles_do_not_import_the_package():
     tree = ast.parse((SRC.parent.parent / "tests" / "oracles.py").read_text(encoding="utf-8"))
     found = [getattr(top, "name", top.lineno) for top in tree.body for node in ast.walk(top) if imports_the_package(node)]
     assert found == ["random_combination"], found
-
-
-def test_orbifold_route_is_computed():
-    # the orbifold upper is orbifold_bound's inequality over the mu-bar column
-    # of spectra.FAMILIES, not a stored table
-    found = nodes(lambda node: "_ORBIFOLD_UPPER" in (getattr(node, "id", None), getattr(node, "attr", None)))
-    assert not found, found
-
-
-def test_kappa_of_a_sphere_has_one_route():
-    # xi_bounds reads kappa of every sphere through spectra.family_kappa, and
-    # parse_manifold caps a sporadic m, so bounds.py builds no class of m
-    def named(node):
-        return getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
-
-    classes_of_m = nodes(lambda node: named(node) in ("brieskorn_kappa", "brieskorn_class"))
-    found = nodes(lambda node: named(node) in ("manifold_kappa", "s3_class"))
-    found += [site for site in classes_of_m if site.startswith("bounds.py:")]
-    assert not found, found
 
 
 def test_only_domain_errors_are_refusals():
